@@ -11,9 +11,11 @@
 //!   counters (optionally against the Theorem 1.1 theory terms when
 //!   `--n`/`--k` are given). It is the one view derived from a trace.
 //!
-//! Input formats: `test`/`select-k`/`sketch` read whitespace-separated
-//! 0-based sample indices from a file (or stdin with `-`); `certify` reads
-//! whitespace-separated non-negative weights (one per domain element).
+//! Input formats: `test`/`select-k`/`sketch` read 0-based sample indices
+//! from a file (or stdin with `-`) and stream them into one count per
+//! domain element, so memory is O(n) whatever the number of samples;
+//! `certify` reads non-negative weights (one per domain element). Tokens
+//! are separated by ASCII whitespace.
 //!
 //! `test` always runs one oracle stack — the recorded data, a tracer, and
 //! an optional fault layer — under one resilient runner (see
@@ -48,6 +50,7 @@ use few_bins::prelude::*;
 use few_bins::report::{analyze_files, TheoryParams};
 use few_bins::testers::validate_params;
 use histo_stats::PortableRng;
+use std::collections::TryReserveError;
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -89,7 +92,64 @@ impl From<HistoError> for CliError {
     }
 }
 
-/// Replay oracle over a recorded dataset.
+/// Exact alias table over integer counts: Vose's method in integer
+/// arithmetic. Column `c = below(n)` keeps itself when
+/// `below(total) < cut[c]` and yields `alias[c]` otherwise, so element `i`
+/// is drawn with probability exactly `weights[i] / total`, in O(1) and
+/// without floats.
+struct CountAlias {
+    weights: Vec<u64>,
+    total: u64,
+    cut: Vec<u64>,
+    alias: Vec<usize>,
+}
+
+impl CountAlias {
+    /// `weights` must have a positive sum.
+    fn new(weights: Vec<u64>) -> Self {
+        let n = weights.len();
+        let total: u64 = weights.iter().sum();
+        // Column `i` starts with `n·weights[i]` units against a capacity of
+        // `total` units per column; u128 holds the product for any input.
+        let cap = u128::from(total);
+        let mut mass: Vec<u128> = weights.iter().map(|&w| u128::from(w) * n as u128).collect();
+        let mut cut = vec![total; n];
+        let mut alias: Vec<usize> = (0..n).collect();
+        let (mut small, mut large): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| mass[i] < cap);
+        // Each step fills one small column from a large one. The unfilled
+        // columns always hold `cap` units on average, so `small` empties no
+        // later than `large`, and every column left over holds exactly
+        // `cap` units and keeps itself.
+        while let Some(&l) = large.last() {
+            let Some(s) = small.pop() else { break };
+            cut[s] = mass[s] as u64;
+            alias[s] = l;
+            mass[l] -= cap - mass[s];
+            if mass[l] < cap {
+                large.pop();
+                small.push(l);
+            }
+        }
+        Self {
+            weights,
+            total,
+            cut,
+            alias,
+        }
+    }
+
+    fn draw(&self, rng: &mut PortableRng) -> usize {
+        let col = rng.below(self.cut.len() as u64) as usize;
+        if rng.below(self.total) < self.cut[col] {
+            col
+        } else {
+            self.alias[col]
+        }
+    }
+}
+
+/// Replay oracle over a recorded dataset, held as one count per domain
+/// element.
 ///
 /// Two modes, chosen explicitly by the user:
 ///
@@ -101,51 +161,78 @@ impl From<HistoError> for CliError {
 /// - **no-resample** (`--no-resample`): consumes each recorded sample
 ///   exactly once in random order (true i.i.d. semantics) and fails with a
 ///   typed `OracleExhausted` error when the dataset runs out.
+///
+/// Both modes draw from a [`CountAlias`] over the counts. Without
+/// resampling, a drawn element `i` is kept with probability
+/// `left[i] / weights[i]` (else drawn again), which makes each draw
+/// uniform over the samples not yet consumed — the law of shuffling the
+/// dataset and reading it in order. The table is rebuilt from `left` once
+/// a sixteenth of its weight is consumed, but at most once per `n` draws
+/// (a rebuild costs O(n)) and always by the time half is consumed, so a
+/// draw is kept with probability at least 1/2 and costs O(1) expected
+/// time.
 struct ReplayOracle {
-    samples: Vec<usize>,
-    n: usize,
+    table: CountAlias,
+    /// `--no-resample`: the counts not yet drawn (`None` bootstraps).
+    left: Option<Vec<u64>>,
+    left_total: u64,
+    recorded: u64,
     drawn: u64,
-    pos: usize,
-    resample: bool,
 }
 
 impl ReplayOracle {
-    fn new(mut samples: Vec<usize>, n: usize, resample: bool, rng: &mut PortableRng) -> Self {
-        rng.shuffle(&mut samples);
+    /// `counts` must have a positive sum.
+    fn new(counts: Vec<u64>, resample: bool) -> Self {
+        let left = (!resample).then(|| counts.clone());
+        let table = CountAlias::new(counts);
         Self {
-            samples,
-            n,
+            left_total: table.total,
+            recorded: table.total,
+            table,
+            left,
             drawn: 0,
-            pos: 0,
-            resample,
         }
     }
 
     /// True once a no-resample run has consumed every recorded sample.
     fn ran_dry(&self) -> bool {
-        !self.resample && self.pos >= self.samples.len()
+        self.left.is_some() && self.left_total == 0
     }
 }
 
 impl few_bins::sampling::oracle::SampleOracle for ReplayOracle {
     fn n(&self) -> usize {
-        self.n
+        self.table.weights.len()
     }
     fn samples_drawn(&self) -> u64 {
         self.drawn
     }
     fn try_draw(&mut self, rng: &mut PortableRng) -> Result<usize, HistoError> {
-        let s = if self.resample {
-            self.samples[rng.below(self.samples.len() as u64) as usize]
-        } else {
-            let Some(&s) = self.samples.get(self.pos) else {
-                return Err(HistoError::OracleExhausted {
-                    budget: self.samples.len() as u64,
-                    drawn: self.drawn,
-                });
-            };
-            self.pos += 1;
-            s
+        let s = match self.left.as_mut() {
+            None => self.table.draw(rng),
+            Some(left) => {
+                if self.left_total == 0 {
+                    return Err(HistoError::OracleExhausted {
+                        budget: self.recorded,
+                        drawn: self.drawn,
+                    });
+                }
+                let consumed = self.table.total - self.left_total;
+                let due = (self.table.total / 16)
+                    .max(left.len() as u64)
+                    .min(self.table.total / 2);
+                if consumed > 0 && consumed >= due {
+                    self.table = CountAlias::new(left.clone());
+                }
+                loop {
+                    let i = self.table.draw(rng);
+                    if rng.below(self.table.weights[i]) < left[i] {
+                        left[i] -= 1;
+                        self.left_total -= 1;
+                        break i;
+                    }
+                }
+            }
         };
         self.drawn += 1;
         Ok(s)
@@ -211,8 +298,8 @@ fn report_ledger(path: &str, ledger: &SampleLedger, timings: &StageTimings) {
 }
 
 /// Runs `body` against `oracle` under the one oracle stack: a tracing
-/// [`ScopedOracle`] (JSONL spans + sample ledger to `trace_path`; a
-/// [`NullSink`] when none is given) and a [`FaultyOracle`] when `plan`
+/// [`ScopedOracle`] over `tracer` (see [`ingest`]; the ledger summary goes
+/// to stderr when `trace_path` is set) and a [`FaultyOracle`] when `plan`
 /// injects anything. The fault layer wraps the tracer, so injected fault
 /// counters are emitted into the trace stream, audited by
 /// `scripts/check_trace.py` and summed by `fewbins report`. The tracer is
@@ -220,21 +307,11 @@ fn report_ledger(path: &str, ledger: &SampleLedger, timings: &StageTimings) {
 /// it; it never touches the draw stream.
 fn with_stack<T>(
     oracle: &mut dyn SampleOracle,
+    tracer: Tracer,
     trace_path: &Option<String>,
     plan: &Option<FaultPlan>,
     body: impl FnOnce(&mut dyn SampleOracle) -> Result<T, CliError>,
 ) -> Result<T, CliError> {
-    let sink: Box<dyn TraceSink> = match trace_path {
-        Some(path) => Box::new(
-            JsonlSink::create(path)
-                .map_err(|e| CliError::input(format!("creating {path}: {e}")))?,
-        ),
-        None => Box::new(NullSink),
-    };
-    let mut tracer = Tracer::new(sink);
-    if trace_timing_disabled() {
-        tracer = tracer.without_timing();
-    }
     let mut scoped = ScopedOracle::with_tracer(oracle, tracer);
     // A plan that injects nothing (`--faults none`) gets no fault layer,
     // so its trace is byte-identical to a run without `--faults`.
@@ -365,38 +442,180 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
     Ok((cmd, args))
 }
 
-fn read_numbers(path: &Option<String>) -> Result<Vec<String>, String> {
-    let mut text = String::new();
-    match path.as_deref() {
-        None | Some("-") => {
-            std::io::stdin()
-                .read_to_string(&mut text)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-        }
-        Some(p) => {
-            text = std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?;
-        }
-    }
-    Ok(text.split_whitespace().map(|s| s.to_string()).collect())
+/// Bytes per read of the input.
+const CHUNK: usize = 64 * 1024;
+
+/// The token separators: the ASCII characters `char::is_whitespace`
+/// accepts (tab, LF, VT, FF, CR and space).
+fn is_separator(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
 }
 
-fn read_samples(args: &Args) -> Result<(Vec<usize>, usize), String> {
-    let toks = read_numbers(&args.file)?;
-    let samples: Vec<usize> = toks
-        .iter()
-        .map(|t| t.parse::<usize>().map_err(|e| format!("sample `{t}`: {e}")))
-        .collect::<Result<_, _>>()?;
-    if samples.is_empty() {
+/// Opens the file at `path`, or stdin for `-` or no path, with the label
+/// that read errors carry.
+fn open_input(path: &Option<String>) -> Result<(Box<dyn Read>, String), String> {
+    match path.as_deref() {
+        None | Some("-") => Ok((Box::new(std::io::stdin()), "stdin".into())),
+        Some(p) => match std::fs::File::open(p) {
+            Ok(f) => Ok((Box::new(f), p.to_string())),
+            Err(e) => Err(format!("reading {p}: {e}")),
+        },
+    }
+}
+
+/// Streams the separator-delimited tokens of `src` to `f`, reading `chunk`
+/// bytes at a time. A token of at most 19 ASCII digits, which cannot
+/// overflow a `u64`, comes with its value, read in the same pass over the
+/// bytes. A token cut by the end of one read is passed whole once the next
+/// read completes it, without a value.
+fn for_each_token(
+    src: &mut dyn Read,
+    label: &str,
+    chunk: usize,
+    mut f: impl FnMut(&[u8], Option<u64>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut buf = vec![0u8; chunk];
+    let mut carry = Vec::new();
+    loop {
+        let len = match src.read(&mut buf) {
+            Ok(0) => break,
+            Ok(len) => len,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(format!("reading {label}: {e}")),
+        };
+        let bytes = &buf[..len];
+        let mut i = 0;
+        if !carry.is_empty() {
+            i = bytes.iter().position(|&b| is_separator(b)).unwrap_or(len);
+            carry.extend_from_slice(&bytes[..i]);
+            if i == len {
+                continue;
+            }
+            f(&carry, None)?;
+            carry.clear();
+        }
+        while i < len {
+            if is_separator(bytes[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let mut value = 0u64;
+            while i < len && bytes[i].is_ascii_digit() {
+                value = value
+                    .wrapping_mul(10)
+                    .wrapping_add(u64::from(bytes[i] - b'0'));
+                i += 1;
+            }
+            let digits_end = i;
+            while i < len && !is_separator(bytes[i]) {
+                i += 1;
+            }
+            if i == len {
+                carry.extend_from_slice(&bytes[start..]);
+                break;
+            }
+            let plain = digits_end == i && i - start <= 19;
+            f(&bytes[start..i], plain.then_some(value))?;
+        }
+    }
+    if carry.is_empty() {
+        Ok(())
+    } else {
+        f(&carry, None)
+    }
+}
+
+/// One sample index: the token's digit value when the tokenizer read one,
+/// else `str::parse`, which also accepts a leading `+` and words the error.
+fn parse_sample(token: &[u8], value: Option<u64>) -> Result<usize, String> {
+    if let Some(v) = value.and_then(|v| usize::try_from(v).ok()) {
+        return Ok(v);
+    }
+    let text = String::from_utf8_lossy(token);
+    text.parse().map_err(|e| format!("sample `{text}`: {e}"))
+}
+
+/// Zero-extends `counts` to `len` entries. The allocation is fallible, so
+/// a domain too large for memory is bad input rather than an abort.
+fn grow_tally(counts: &mut Vec<u64>, len: usize) -> Result<(), TryReserveError> {
+    counts.try_reserve(len - counts.len())?;
+    counts.resize(len, 0);
+    Ok(())
+}
+
+/// Tallies the sample indices of `src` into one count per element of the
+/// domain `0..n`; without `n` the domain is `0..=max`. Memory is O(n),
+/// whatever the number of samples.
+fn tally_samples(
+    src: &mut dyn Read,
+    label: &str,
+    chunk: usize,
+    n: Option<usize>,
+) -> Result<Vec<u64>, String> {
+    let mut counts = Vec::new();
+    if let Some(n) = n {
+        grow_tally(&mut counts, n)
+            .map_err(|e| format!("--n {n}: cannot tally the domain 0..{n} ({e})"))?;
+    }
+    let mut total = 0u64;
+    for_each_token(src, label, chunk, |token, value| {
+        let s = parse_sample(token, value)?;
+        if s >= counts.len() {
+            if let Some(n) = n {
+                return Err(format!("a sample exceeds the domain 0..{n}"));
+            }
+            grow_tally(&mut counts, s.saturating_add(1)).map_err(|e| {
+                format!(
+                    "sample {s}: cannot tally the domain 0..={s} ({e}); \
+                     the largest sample sets the domain unless --n is given"
+                )
+            })?;
+        }
+        counts[s] += 1;
+        total += 1;
+        Ok(())
+    })?;
+    if total == 0 {
         return Err("no samples provided".into());
     }
-    let n = match args.n {
-        Some(n) => n,
-        None => samples.iter().max().copied().unwrap_or(0) + 1,
+    Ok(counts)
+}
+
+/// The non-negative weights of `certify`, one per domain element.
+fn read_weights(path: &Option<String>) -> Result<Vec<f64>, String> {
+    let (mut src, label) = open_input(path)?;
+    let mut weights = Vec::new();
+    for_each_token(&mut *src, &label, CHUNK, |token, _| {
+        let text = String::from_utf8_lossy(token);
+        weights.push(text.parse().map_err(|e| format!("weight `{text}`: {e}"))?);
+        Ok(())
+    })?;
+    Ok(weights)
+}
+
+/// Opens the run's tracer (JSONL spans to `--trace`, or a [`NullSink`])
+/// and then reads the recorded samples into a [`ReplayOracle`] inside an
+/// `ingest` span that draws nothing, so the trace accounts for the whole
+/// process.
+fn ingest(args: &Args) -> Result<(Tracer, ReplayOracle), CliError> {
+    let sink: Box<dyn TraceSink> = match &args.trace {
+        Some(path) => Box::new(
+            JsonlSink::create(path)
+                .map_err(|e| CliError::input(format!("creating {path}: {e}")))?,
+        ),
+        None => Box::new(NullSink),
     };
-    if samples.iter().any(|&s| s >= n) {
-        return Err(format!("a sample exceeds the domain 0..{n}"));
+    let mut tracer = Tracer::new(sink);
+    if trace_timing_disabled() {
+        tracer = tracer.without_timing();
     }
-    Ok((samples, n))
+    tracer.enter(Stage::Other("ingest"));
+    let oracle = open_input(&args.file)
+        .and_then(|(mut src, label)| tally_samples(&mut *src, &label, CHUNK, args.n))
+        .map(|counts| ReplayOracle::new(counts, !args.no_resample));
+    tracer.exit();
+    Ok((tracer, oracle.map_err(CliError::input)?))
 }
 
 fn run() -> Result<(), CliError> {
@@ -447,17 +666,18 @@ fn run() -> Result<(), CliError> {
 
     match cmd.as_str() {
         "test" => {
-            let (samples, n) = read_samples(&args).map_err(CliError::input)?;
+            let (tracer, mut oracle) = ingest(&args)?;
+            let n = oracle.n();
             let k = args.k.ok_or_else(|| CliError::usage("test requires --k"))?;
             let eps = args.eps.unwrap_or(0.25);
             validate_params(n, k, eps).map_err(CliError::from)?;
             let config = TesterConfig::practical().scaled(args.scale);
             let needed = estimate_budget(&config, n, k, eps);
-            if (samples.len() as u64) < needed {
+            if oracle.recorded < needed {
                 eprintln!(
                     "fewbins: warning: dataset has {} samples but the tester needs ~{needed}; \
                      {}",
-                    samples.len(),
+                    oracle.recorded,
                     if args.no_resample {
                         "this run will fail when the data runs out — lower --scale or add data"
                     } else {
@@ -477,8 +697,7 @@ fn run() -> Result<(), CliError> {
             if let Some(ms) = args.stage_deadline_ms {
                 runner = runner.with_stage_deadline_us(ms.saturating_mul(1_000));
             }
-            let mut oracle = ReplayOracle::new(samples, n, !args.no_resample, &mut rng);
-            let outcome = with_stack(&mut oracle, &args.trace, &plan, |o| {
+            let outcome = with_stack(&mut oracle, tracer, &args.trace, &plan, |o| {
                 runner.run(o, k, eps, &mut rng).map_err(CliError::from)
             })?;
             match outcome {
@@ -515,12 +734,11 @@ fn run() -> Result<(), CliError> {
             }
         }
         "select-k" => {
-            let (samples, n) = read_samples(&args).map_err(CliError::input)?;
+            let (tracer, mut oracle) = ingest(&args)?;
             let eps = args.eps.unwrap_or(0.25);
             let config = TesterConfig::practical().scaled(args.scale);
-            let mut oracle = ReplayOracle::new(samples, n, !args.no_resample, &mut rng);
             let tester = HistogramTester::new(config);
-            let sel = with_stack(&mut oracle, &args.trace, &plan, |o| {
+            let sel = with_stack(&mut oracle, tracer, &args.trace, &plan, |o| {
                 let mut capped = BudgetedOracle::new(o, args.max_samples.unwrap_or(u64::MAX));
                 doubling_search(&tester, &mut capped, eps, args.max_k, 3, true, &mut rng)
                     .map_err(CliError::from)
@@ -543,12 +761,7 @@ fn run() -> Result<(), CliError> {
             let k = args
                 .k
                 .ok_or_else(|| CliError::usage("certify requires --k"))?;
-            let toks = read_numbers(&args.file).map_err(CliError::input)?;
-            let weights: Vec<f64> = toks
-                .iter()
-                .map(|t| t.parse::<f64>().map_err(|e| format!("weight `{t}`: {e}")))
-                .collect::<Result<_, _>>()
-                .map_err(CliError::input)?;
+            let weights = read_weights(&args.file).map_err(CliError::input)?;
             let d = Distribution::from_weights(weights).map_err(CliError::from)?;
             let b = distance_to_hk_bounds(&d, k).map_err(CliError::from)?;
             println!(
@@ -562,14 +775,13 @@ fn run() -> Result<(), CliError> {
             }
         }
         "sketch" => {
-            let (samples, n) = read_samples(&args).map_err(CliError::input)?;
+            let (tracer, mut oracle) = ingest(&args)?;
             let k = args
                 .k
                 .ok_or_else(|| CliError::usage("sketch requires --k"))?;
             let eps = args.eps.unwrap_or(0.1);
-            let mut oracle = ReplayOracle::new(samples, n, !args.no_resample, &mut rng);
             let learner = AgnosticLearner::default();
-            let sketch = with_stack(&mut oracle, &args.trace, &plan, |o| {
+            let sketch = with_stack(&mut oracle, tracer, &args.trace, &plan, |o| {
                 let mut capped = BudgetedOracle::new(o, args.max_samples.unwrap_or(u64::MAX));
                 learner
                     .learn(&mut capped, k, eps, &mut rng)
@@ -637,6 +849,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use few_bins::sampling::oracle::SampleOracle;
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -762,9 +975,8 @@ mod tests {
 
     #[test]
     fn replay_oracle_try_path_fails_gracefully() {
-        use few_bins::sampling::oracle::SampleOracle;
         let mut rng = PortableRng::seed_from(1);
-        let mut o = ReplayOracle::new(vec![0, 1, 2], 3, false, &mut rng);
+        let mut o = ReplayOracle::new(vec![1, 1, 1], false);
         assert!(o.try_draw_counts(3, &mut rng).is_ok());
         let err = o.try_draw(&mut rng).unwrap_err();
         assert!(
@@ -777,22 +989,184 @@ mod tests {
             ),
             "{err:?}"
         );
-        // Bootstrap mode never exhausts the try path either.
-        let mut o = ReplayOracle::new(vec![2], 3, true, &mut rng);
-        for _ in 0..10 {
-            assert_eq!(o.try_draw(&mut rng).unwrap(), 2);
-        }
+        assert!(o.ran_dry());
     }
 
     #[test]
     fn replay_oracle_bootstrap_never_exhausts() {
-        use few_bins::sampling::oracle::SampleOracle;
         let mut rng = PortableRng::seed_from(1);
-        let mut o = ReplayOracle::new(vec![2], 3, true, &mut rng);
+        let mut o = ReplayOracle::new(vec![0, 0, 1], true);
         for _ in 0..10 {
             assert_eq!(o.try_draw(&mut rng).unwrap(), 2);
         }
         assert_eq!(o.samples_drawn(), 10);
+        assert!(!o.ran_dry());
+    }
+
+    /// Pearson's χ² of `tally` against `counts / N` over the cells with
+    /// positive counts; panics if a zero-count cell was drawn.
+    fn chi2(tally: &[u64], counts: &[u64]) -> f64 {
+        let n: u64 = counts.iter().sum();
+        let m: u64 = tally.iter().sum();
+        tally
+            .iter()
+            .zip(counts)
+            .map(|(&t, &c)| {
+                assert!(c > 0 || t == 0, "drew an element with no samples");
+                if c == 0 {
+                    return 0.0;
+                }
+                let e = m as f64 * c as f64 / n as f64;
+                (t as f64 - e).powi(2) / e
+            })
+            .sum()
+    }
+
+    /// χ² with 5 degrees of freedom (six positive cells, below) exceeds 30
+    /// with probability 1.5e-5, and with 1 degree of freedom exceeds 19
+    /// with probability 1.3e-5.
+    const CHI2_5DF_CUTOFF: f64 = 30.0;
+    const CHI2_1DF_CUTOFF: f64 = 19.0;
+    const SKEWED: [u64; 7] = [5, 0, 17, 3, 75, 1, 9];
+
+    #[test]
+    fn bootstrap_draws_follow_the_counts() {
+        let mut rng = PortableRng::seed_from(11);
+        let mut o = ReplayOracle::new(SKEWED.to_vec(), true);
+        let tally = o.try_draw_counts(200_000, &mut rng).unwrap();
+        let stat = chi2(tally.counts(), &SKEWED);
+        assert!(stat < CHI2_5DF_CUTOFF, "chi2 = {stat}");
+    }
+
+    #[test]
+    fn no_resample_drains_exactly_the_recorded_counts() {
+        let total: u64 = SKEWED.iter().sum();
+        let mut rng = PortableRng::seed_from(12);
+        let mut o = ReplayOracle::new(SKEWED.to_vec(), false);
+        let tally = o.try_draw_counts(total, &mut rng).unwrap();
+        assert_eq!(tally.counts(), SKEWED);
+        let err = o.try_draw(&mut rng).unwrap_err();
+        assert!(
+            matches!(err, HistoError::OracleExhausted { budget, drawn } if budget == total && drawn == total),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn no_resample_late_draws_are_still_proportional_to_the_counts() {
+        // Shuffle-then-consume gives every position the marginal
+        // counts / N. One heavy element and fifty singletons: without the
+        // thinning step the singletons would fade out as they are drawn.
+        // Draw 50 comes before the first table rebuild, draw 150 after two.
+        let counts: Vec<u64> = std::iter::once(150)
+            .chain(std::iter::repeat(1).take(50))
+            .collect();
+        let mut rng = PortableRng::seed_from(13);
+        let trials = 20_000;
+        for position in [50, 150] {
+            let mut heavy = 0;
+            for _ in 0..trials {
+                let mut o = ReplayOracle::new(counts.clone(), false);
+                o.try_draw_counts(position, &mut rng).unwrap();
+                heavy += u64::from(o.try_draw(&mut rng).unwrap() == 0);
+            }
+            let stat = chi2(&[heavy, trials - heavy], &[150, 50]);
+            assert!(stat < CHI2_1DF_CUTOFF, "draw {position}: chi2 = {stat}");
+        }
+    }
+
+    #[test]
+    fn alias_table_is_exact() {
+        // Each element's probability, summed over the columns that can
+        // yield it, is weights[i] / total exactly (in units of
+        // 1 / (n · total)).
+        for weights in [
+            vec![5, 0, 17, 3, 75, 1, 9],
+            vec![1],
+            vec![0, 4],
+            vec![3, 3, 3],
+        ] {
+            let t = CountAlias::new(weights.clone());
+            let n = weights.len() as u64;
+            let mut units = vec![0u64; weights.len()];
+            for c in 0..weights.len() {
+                units[c] += t.cut[c];
+                units[t.alias[c]] += t.total - t.cut[c];
+            }
+            let want: Vec<u64> = weights.iter().map(|&w| w * n).collect();
+            assert_eq!(units, want, "{weights:?}");
+        }
+    }
+
+    /// The ingestion path this file used to have, kept as the reference:
+    /// the whole input as UTF-8, `split_whitespace`, `parse::<usize>`,
+    /// then the domain check.
+    fn reference_tally(input: &[u8], n: Option<usize>) -> Result<Vec<u64>, String> {
+        let text = std::str::from_utf8(input).map_err(|e| format!("reading: {e}"))?;
+        let samples: Vec<usize> = text
+            .split_whitespace()
+            .map(|t| t.parse::<usize>().map_err(|e| format!("sample `{t}`: {e}")))
+            .collect::<Result<_, _>>()?;
+        if samples.is_empty() {
+            return Err("no samples provided".into());
+        }
+        // `wrapping_add`, as the release build ran it: a sample of `usize::MAX`
+        // made the domain empty, so every sample exceeded it.
+        let n = n.unwrap_or_else(|| samples.iter().max().copied().unwrap_or(0).wrapping_add(1));
+        if samples.iter().any(|&s| s >= n) {
+            return Err(format!("a sample exceeds the domain 0..{n}"));
+        }
+        let mut counts = vec![0u64; n];
+        for s in samples {
+            counts[s] += 1;
+        }
+        Ok(counts)
+    }
+
+    #[test]
+    fn tokenizer_agrees_with_the_reference_parser() {
+        let corpus: [&[u8]; 16] = [
+            b"0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16",
+            b"12345 6789 12345\n6789",
+            b"+7 3 +0",
+            b"1 18446744073709551616 2",
+            b"4 -1 5",
+            b"1\t2\r\n3\x0b4\x0c5\n",
+            b"3 1 4 1 5 9 2 6",
+            b"",
+            b" \t\r\n ",
+            b"1 2 \xff 3",
+            b"1 2\xc3",
+            b"00017 17 0",
+            b"1 oops 2",
+            b"7",
+            b"1 2 3 99",
+            b"018446744073709551615",
+        ];
+        for input in corpus {
+            for n in [None, Some(20)] {
+                let want = reference_tally(input, n);
+                // Chunks of 1, 2, 3 and 5 bytes cut tokens at every
+                // possible place; CHUNK reads the input in one piece.
+                for chunk in [1, 2, 3, 5, CHUNK] {
+                    let got = tally_samples(&mut &input[..], "test", chunk, n);
+                    match (&want, &got) {
+                        (Ok(w), Ok(g)) => assert_eq!(w, g, "{input:?} n={n:?} chunk={chunk}"),
+                        (Err(_), Err(_)) => {}
+                        _ => panic!("{input:?} n={n:?} chunk={chunk}: {want:?} vs {got:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parse_errors_quote_the_token() {
+        let err = tally_samples(&mut &b"0 1 oops 2"[..], "test", CHUNK, None).unwrap_err();
+        assert_eq!(err, "sample `oops`: invalid digit found in string");
+        // A non-ASCII space does not separate tokens.
+        let err = tally_samples(&mut "1\u{a0}2".as_bytes(), "test", CHUNK, None).unwrap_err();
+        assert!(err.starts_with("sample `1\u{a0}2`"), "{err}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! paired with a useful message — and runner flags that never fire leave
 //! the output byte-identical.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn fewbins(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fewbins"))
@@ -23,6 +24,24 @@ fn fewbins_notiming(args: &[&str]) -> Output {
         .env("FEWBINS_TRACE_NO_TIMING", "1")
         .output()
         .expect("failed to spawn fewbins")
+}
+
+/// Like [`fewbins`], with `input` on stdin.
+fn fewbins_stdin(args: &[&str], input: &[u8]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fewbins"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn fewbins");
+    child
+        .stdin
+        .take()
+        .expect("stdin is piped")
+        .write_all(input)
+        .expect("writing stdin");
+    child.wait_with_output().expect("waiting for fewbins")
 }
 
 fn code(out: &Output) -> i32 {
@@ -97,6 +116,26 @@ fn input_errors_exit_three() {
     let big = write_tmp("domain", "0 1 99");
     let out = fewbins(&["test", "--n", "10", "--k", "2", big.to_str().unwrap()]);
     assert_eq!(code(&out), 3, "{}", stderr(&out));
+
+    // A domain too large to tally is bad input, not an abort (the largest
+    // sample sets it) or a caught panic (`--n` sets it).
+    let out = fewbins_stdin(&["test", "--k", "2", "-"], b"0 1 2 99999999999999");
+    assert_eq!(code(&out), 3, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("domain 0..=99999999999999"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stderr(&out).contains("--n"), "{}", stderr(&out));
+    let n_max = u64::MAX.to_string();
+    let data = dataset("huge_n");
+    let out = fewbins(&["test", "--n", &n_max, "--k", "2", data.to_str().unwrap()]);
+    assert_eq!(code(&out), 3, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(&format!("--n {n_max}: cannot tally the domain 0..{n_max}")),
+        "{}",
+        stderr(&out)
+    );
 
     // Bad (k, eps) is refused before the budget estimate, so no warning
     // quotes a budget computed from eps = 0.
@@ -246,9 +285,22 @@ fn traced_run_reports_wall_time() {
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("no draw count in {}", stdout(&out)));
 
+    // Ingestion is traced as its own top-level span, and draws nothing.
+    let ingest = std::fs::read_to_string(trace)
+        .unwrap()
+        .lines()
+        .find(|l| l.contains("\"ev\":\"exit\"") && l.contains("\"stage\":\"ingest\""))
+        .map(str::to_string)
+        .expect("an ingest span");
+    assert!(ingest.contains("\"depth\":0,\"samples\":0,"), "{ingest}");
+
     let out = fewbins(&["report", "--json", trace]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));
     let json = stdout(&out);
+    assert!(
+        json.contains("{\"stage\":\"ingest\",\"samples\":0,"),
+        "{json}"
+    );
     assert_eq!(json_u64(&json, "total_samples"), draws, "{json}");
     let stage_samples: u64 = json_u64_all(&json, "samples").iter().sum();
     assert_eq!(
