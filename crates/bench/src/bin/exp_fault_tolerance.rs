@@ -178,7 +178,10 @@ fn main() {
             "stall-sweep runs must conclude"
         );
         let stalled = oracle.counters().stalled;
-        let (_ledger, timings) = oracle.into_inner().finish_with_timings();
+        let (_ledger, timings) = oracle
+            .into_inner()
+            .finish_with_timings()
+            .expect("a null sink cannot fail");
         stall_rows.push((us, stalled, timings.root_us()));
     }
     let (_, base_stalled, base_root) = stall_rows[0];

@@ -124,11 +124,6 @@ impl Distribution {
         self.pmf[iv.lo()..iv.hi()].iter().sum()
     }
 
-    /// Total mass of an arbitrary index set.
-    pub fn set_mass(&self, indices: impl IntoIterator<Item = usize>) -> f64 {
-        indices.into_iter().map(|i| self.pmf[i]).sum()
-    }
-
     /// Support size `|{i : D(i) > 0}|`.
     pub fn support_size(&self) -> usize {
         self.pmf.iter().filter(|&&p| p > 0.0).count()
@@ -207,24 +202,6 @@ impl Distribution {
         // Flattening preserves total mass exactly up to fp error; renormalize
         // defensively through the validating constructor.
         Distribution::new(pmf)
-    }
-
-    /// The conditional distribution of `self` on `iv`, i.e. `D(· | I)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoError::NotNormalized`] if `D(I) = 0` (conditioning on
-    /// a null event), or [`HistoError::InvalidInterval`] if `iv` exceeds the
-    /// domain.
-    pub fn condition_on(&self, iv: &Interval) -> Result<Distribution> {
-        if iv.hi() > self.n() {
-            return Err(HistoError::InvalidInterval {
-                lo: iv.lo(),
-                hi: iv.hi(),
-                n: self.n(),
-            });
-        }
-        Distribution::from_weights(self.pmf[iv.lo()..iv.hi()].to_vec())
     }
 
     /// Cumulative distribution values `F(i) = D(0) + … + D(i)`, length `n`.
@@ -313,11 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn interval_and_set_mass() {
+    fn interval_mass() {
         let d = Distribution::new(vec![0.1, 0.2, 0.3, 0.4]).unwrap();
         let iv = Interval::new(1, 3).unwrap();
         assert!((d.interval_mass(&iv) - 0.5).abs() < 1e-12);
-        assert!((d.set_mass([0, 3]) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -353,16 +329,6 @@ mod tests {
         for iv in p.intervals() {
             assert!((d.interval_mass(iv) - f.interval_mass(iv)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn condition_on_interval() {
-        let d = Distribution::new(vec![0.1, 0.2, 0.3, 0.4]).unwrap();
-        let c = d.condition_on(&Interval::new(2, 4).unwrap()).unwrap();
-        assert_eq!(c.n(), 2);
-        assert!((c.mass(0) - 3.0 / 7.0).abs() < 1e-12);
-        let z = Distribution::new(vec![0.0, 1.0]).unwrap();
-        assert!(z.condition_on(&Interval::new(0, 1).unwrap()).is_err());
     }
 
     #[test]

@@ -412,11 +412,6 @@ impl LevelIndex {
             levels: lv,
         }
     }
-
-    /// Number of distinct contributing levels.
-    pub fn distinct_levels(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 /// On-demand segment-cost oracle over a window of blocks: answers

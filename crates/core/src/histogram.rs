@@ -173,28 +173,6 @@ impl KHistogram {
         }
         Distribution::new(pmf)
     }
-
-    /// Re-expresses this histogram on a refinement of its partition (levels
-    /// are inherited; the result represents the same distribution).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoError::InvalidParameter`] if `finer` does not refine
-    /// the current partition.
-    pub fn on_refinement(&self, finer: &Partition) -> Result<KHistogram> {
-        if !finer.refines(&self.partition) {
-            return Err(HistoError::InvalidParameter {
-                name: "finer",
-                reason: "partition does not refine the histogram's partition".into(),
-            });
-        }
-        let levels = finer
-            .intervals()
-            .iter()
-            .map(|iv| self.levels[self.partition.locate(iv.lo())])
-            .collect();
-        KHistogram::new(finer.clone(), levels)
-    }
 }
 
 #[cfg(test)]
@@ -267,20 +245,5 @@ mod tests {
         for i in 0..6 {
             assert!((dense.mass(i) - direct.mass(i)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn refinement_represents_same_distribution() {
-        let h = simple();
-        let finer = Partition::from_starts(10, &[0, 2, 4, 7, 9]).unwrap();
-        let r = h.on_refinement(&finer).unwrap();
-        let a = h.to_distribution().unwrap();
-        let b = r.to_distribution().unwrap();
-        for i in 0..10 {
-            assert!((a.mass(i) - b.mass(i)).abs() < 1e-12);
-        }
-        // Non-refining partition is rejected.
-        let bad = Partition::from_starts(10, &[0, 3]).unwrap();
-        assert!(h.on_refinement(&bad).is_err());
     }
 }

@@ -84,13 +84,6 @@ impl Interval {
     pub fn indices(&self) -> std::ops::Range<usize> {
         self.lo..self.hi
     }
-
-    /// Intersection with another interval, if non-empty.
-    pub fn intersect(&self, other: &Interval) -> Option<Interval> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        (lo < hi).then_some(Interval { lo, hi })
-    }
 }
 
 impl std::fmt::Display for Interval {
@@ -245,40 +238,6 @@ impl Partition {
         // the index of the first interval with hi > i, which contains i.
         self.intervals.partition_point(|iv| iv.hi() <= i)
     }
-
-    /// The common refinement of two partitions of the same domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoError::DomainMismatch`] if domain sizes differ.
-    pub fn refine(&self, other: &Partition) -> Result<Partition> {
-        if self.n != other.n {
-            return Err(HistoError::DomainMismatch {
-                left: self.n,
-                right: other.n,
-            });
-        }
-        let mut cuts: Vec<usize> = self
-            .intervals
-            .iter()
-            .chain(other.intervals.iter())
-            .map(|iv| iv.lo())
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        Partition::from_starts(self.n, &cuts)
-    }
-
-    /// Whether every breakpoint of `other` is also a breakpoint of `self`
-    /// (i.e. `self` refines `other`).
-    pub fn refines(&self, other: &Partition) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        let mine: std::collections::BTreeSet<usize> =
-            self.intervals.iter().map(|iv| iv.lo()).collect();
-        other.intervals.iter().all(|iv| mine.contains(&iv.lo()))
-    }
 }
 
 impl std::fmt::Display for Partition {
@@ -307,16 +266,6 @@ mod tests {
         assert!(Interval::singleton(7).is_singleton());
         assert!(Interval::new(3, 3).is_err());
         assert!(Interval::new_in_domain(3, 11, 10).is_err());
-    }
-
-    #[test]
-    fn interval_intersection() {
-        let a = Interval::new(0, 5).unwrap();
-        let b = Interval::new(3, 8).unwrap();
-        let c = a.intersect(&b).unwrap();
-        assert_eq!((c.lo(), c.hi()), (3, 5));
-        let d = Interval::new(6, 9).unwrap();
-        assert!(a.intersect(&d).is_none());
     }
 
     #[test]
@@ -379,17 +328,6 @@ mod tests {
         let lens: Vec<usize> = p.intervals().iter().map(|iv| iv.len()).collect();
         assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
         assert!(Partition::equal_width(3, 5).is_err());
-    }
-
-    #[test]
-    fn refinement_contains_all_cuts() {
-        let a = Partition::from_starts(12, &[0, 6]).unwrap();
-        let b = Partition::from_starts(12, &[0, 4, 8]).unwrap();
-        let r = a.refine(&b).unwrap();
-        assert_eq!(r.len(), 4); // cuts at 0,4,6,8
-        assert!(r.refines(&a) && r.refines(&b));
-        assert!(!a.refines(&b));
-        assert!(a.refines(&a));
     }
 
     #[test]

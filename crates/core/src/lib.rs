@@ -24,8 +24,6 @@
 //! - [`modal`]: k-modal machinery for the paper's Section 1.2 remark that
 //!   the lower bound extends to k-modal distributions.
 //! - [`empirical`]: empirical distributions from sample counts.
-//! - [`prefix`]: prefix-sum mass index — O(1) interval masses, O(log n)
-//!   quantiles, equal-mass partitioning.
 //!
 //! Conventions: the domain is 0-indexed internally (`0..n`); all masses are
 //! `f64` and constructors validate non-negativity and normalization up to
@@ -39,7 +37,6 @@ pub mod error;
 pub mod histogram;
 pub mod interval;
 pub mod modal;
-pub mod prefix;
 
 pub use dist::{Distribution, MASS_TOLERANCE};
 pub use error::HistoError;

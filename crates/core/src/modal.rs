@@ -8,19 +8,13 @@
 //! `~n/2` direction changes and are far (as functions) from every k-modal
 //! shape. This module supplies the exact machinery:
 //!
-//! - [`direction_changes`] / [`is_k_modal`] — counting monotonicity
-//!   reversals, ignoring flat runs.
+//! - [`direction_changes`] — counting monotonicity reversals, ignoring
+//!   flat runs.
 //! - [`isotonic_l1`] — optimal `ℓ1` isotonic (non-decreasing) regression via
 //!   the pool-adjacent-violators algorithm with median blocks.
 //! - [`min_l1_to_kmodal`] — exact brute-force minimal `ℓ1` distance to any
 //!   function with at most `k` direction changes (small inputs only).
-//! - [`weighted_isotonic_l1`] / [`min_weighted_l1_to_kmodal`] — the
-//!   weighted generalizations operating on `(value, weight)` blocks, so
-//!   block-constant targets are handled at block resolution; and
-//!   [`tv_to_kmodal_lower`], the k-modal analogue of the certified
-//!   distance-to-`H_k` lower bound.
 
-use crate::dist::Distribution;
 use crate::error::HistoError;
 use crate::Result;
 
@@ -46,11 +40,6 @@ pub fn direction_changes(values: &[f64]) -> usize {
         last_dir = dir;
     }
     changes
-}
-
-/// Whether the distribution's pmf has at most `k` direction changes.
-pub fn is_k_modal(d: &Distribution, k: usize) -> bool {
-    direction_changes(d.pmf()) <= k
 }
 
 /// Optimal `ℓ1` isotonic regression: the non-decreasing sequence `g`
@@ -208,18 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn k_modal_classification() {
-        let unimodal = Distribution::from_weights(vec![1.0, 2.0, 5.0, 3.0, 1.0]).unwrap();
-        assert!(is_k_modal(&unimodal, 1));
-        // Strictly monotone counts as 0-modal in the direction-change sense.
-        let mono = Distribution::from_weights(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert!(is_k_modal(&mono, 0));
-        let zigzag = Distribution::from_weights(vec![1.0, 3.0, 1.0, 3.0, 1.0]).unwrap();
-        assert!(!is_k_modal(&zigzag, 2));
-        assert!(is_k_modal(&zigzag, 3));
-    }
-
-    #[test]
     fn isotonic_on_sorted_input_is_free() {
         let v = [1.0, 2.0, 2.0, 5.0];
         let (fit, cost) = isotonic_l1(&v);
@@ -307,230 +284,5 @@ mod tests {
     #[test]
     fn kmodal_errors_on_empty() {
         assert!(min_l1_to_kmodal(&[], 1).is_err());
-    }
-}
-
-/// Weighted `ℓ1` isotonic regression: the non-decreasing `g` minimizing
-/// `Σᵢ wᵢ·|vᵢ − gᵢ|`, via pool-adjacent-violators with weighted-median
-/// blocks. Zero-weight entries are fitted for free (they join whatever
-/// block contains them). Returns `(fitted values, cost)`.
-pub fn weighted_isotonic_l1(pairs: &[(f64, f64)]) -> (Vec<f64>, f64) {
-    #[derive(Clone)]
-    struct WBlock {
-        // (value, weight) sorted by value
-        members: Vec<(f64, f64)>,
-        len: usize,
-    }
-    impl WBlock {
-        fn median(&self) -> f64 {
-            let total: f64 = self.members.iter().map(|m| m.1).sum();
-            if total <= 0.0 {
-                // all weights zero: any value; take the middle member
-                return self.members[(self.members.len() - 1) / 2].0;
-            }
-            let mut acc = 0.0;
-            for &(v, w) in &self.members {
-                acc += w;
-                if 2.0 * acc >= total {
-                    return v;
-                }
-            }
-            self.members.last().expect("non-empty").0
-        }
-        fn cost(&self) -> f64 {
-            let m = self.median();
-            self.members.iter().map(|&(v, w)| w * (v - m).abs()).sum()
-        }
-        fn merge(&mut self, other: &WBlock) {
-            let mut merged = Vec::with_capacity(self.members.len() + other.members.len());
-            let (mut i, mut j) = (0, 0);
-            while i < self.members.len() && j < other.members.len() {
-                if self.members[i].0 <= other.members[j].0 {
-                    merged.push(self.members[i]);
-                    i += 1;
-                } else {
-                    merged.push(other.members[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&self.members[i..]);
-            merged.extend_from_slice(&other.members[j..]);
-            self.members = merged;
-            self.len += other.len;
-        }
-    }
-
-    let mut blocks: Vec<WBlock> = Vec::with_capacity(pairs.len());
-    for &(v, w) in pairs {
-        blocks.push(WBlock {
-            members: vec![(v, w)],
-            len: 1,
-        });
-        while blocks.len() >= 2 {
-            let last = blocks.len() - 1;
-            if blocks[last - 1].median() > blocks[last].median() {
-                let top = blocks.pop().expect("len >= 2");
-                blocks.last_mut().expect("len >= 1").merge(&top);
-            } else {
-                break;
-            }
-        }
-    }
-    let mut fitted = Vec::with_capacity(pairs.len());
-    let mut cost = 0.0;
-    for b in &blocks {
-        let m = b.median();
-        cost += b.cost();
-        fitted.extend(std::iter::repeat(m).take(b.len));
-    }
-    (fitted, cost)
-}
-
-/// Weighted antitonic (non-increasing) `ℓ1` regression, by reversing.
-pub fn weighted_antitonic_l1(pairs: &[(f64, f64)]) -> (Vec<f64>, f64) {
-    let rev: Vec<(f64, f64)> = pairs.iter().rev().copied().collect();
-    let (mut fit, cost) = weighted_isotonic_l1(&rev);
-    fit.reverse();
-    (fit, cost)
-}
-
-/// Exact minimal weighted `ℓ1` distance from a block-constant target to any
-/// function with at most `k` direction changes: the weighted generalization
-/// of [`min_l1_to_kmodal`], operating on `(value, weight)` blocks so that a
-/// `K`-flat hypothesis costs `O(k·K³·log K)` instead of `O(k·n³·log n)`.
-/// Since a block-constant target admits a block-aligned optimal k-modal
-/// fit, this is exact for such targets.
-///
-/// # Errors
-///
-/// Returns [`HistoError::InvalidParameter`] on empty input.
-pub fn min_weighted_l1_to_kmodal(pairs: &[(f64, f64)], k: usize) -> Result<f64> {
-    if pairs.is_empty() {
-        return Err(HistoError::InvalidParameter {
-            name: "pairs",
-            reason: "empty input".into(),
-        });
-    }
-    let n = pairs.len();
-    let mut seg_iso = vec![vec![0.0_f64; n]; n];
-    let mut seg_anti = vec![vec![0.0_f64; n]; n];
-    for a in 0..n {
-        for b in a..n {
-            seg_iso[a][b] = weighted_isotonic_l1(&pairs[a..=b]).1;
-            seg_anti[a][b] = weighted_antitonic_l1(&pairs[a..=b]).1;
-        }
-    }
-    let segs = k + 1;
-    let inf = f64::INFINITY;
-    let mut dp = vec![[inf; 2]; n];
-    for e in 0..n {
-        dp[e][0] = seg_iso[0][e];
-        dp[e][1] = seg_anti[0][e];
-    }
-    let mut best = dp[n - 1][0].min(dp[n - 1][1]);
-    for _s in 1..segs {
-        let mut next = vec![[inf; 2]; n];
-        for e in 0..n {
-            for start in 1..=e {
-                let iso_cand = dp[start - 1][1] + seg_iso[start][e];
-                if iso_cand < next[e][0] {
-                    next[e][0] = iso_cand;
-                }
-                let anti_cand = dp[start - 1][0] + seg_anti[start][e];
-                if anti_cand < next[e][1] {
-                    next[e][1] = anti_cand;
-                }
-            }
-        }
-        dp = next;
-        best = best.min(dp[n - 1][0].min(dp[n - 1][1]));
-    }
-    Ok(best)
-}
-
-/// Certified lower bound on the total-variation distance from `d` to the
-/// class of k-modal *distributions*: half the optimal k-modal-function
-/// `ℓ1` cost (the class of k-modal distributions is a subset of k-modal
-/// functions). The k-modal analogue of
-/// [`crate::dp::distance_to_hk_bounds`]'s lower bound.
-///
-/// # Errors
-///
-/// Propagates [`min_weighted_l1_to_kmodal`] errors.
-pub fn tv_to_kmodal_lower(d: &Distribution, k: usize) -> Result<f64> {
-    let pairs: Vec<(f64, f64)> = d.pmf().iter().map(|&p| (p, 1.0)).collect();
-    Ok(min_weighted_l1_to_kmodal(&pairs, k)? / 2.0)
-}
-
-#[cfg(test)]
-mod weighted_tests {
-    use super::*;
-
-    #[test]
-    fn weighted_matches_unweighted_at_unit_weights() {
-        let v = [2.0, 0.0, 3.0, 1.0, 1.0, 4.0, 0.5];
-        let pairs: Vec<(f64, f64)> = v.iter().map(|&x| (x, 1.0)).collect();
-        let (_, wcost) = weighted_isotonic_l1(&pairs);
-        let (_, cost) = isotonic_l1(&v);
-        assert!((wcost - cost).abs() < 1e-12);
-        for k in 0..4 {
-            let a = min_weighted_l1_to_kmodal(&pairs, k).unwrap();
-            let b = min_l1_to_kmodal(&v, k).unwrap();
-            assert!((a - b).abs() < 1e-10, "k = {k}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn weights_scale_costs() {
-        // Doubling every weight doubles the cost.
-        let pairs = [(3.0, 1.0), (1.0, 1.0), (2.0, 1.0)];
-        let heavy: Vec<(f64, f64)> = pairs.iter().map(|&(v, w)| (v, 2.0 * w)).collect();
-        let (_, c1) = weighted_isotonic_l1(&pairs);
-        let (_, c2) = weighted_isotonic_l1(&heavy);
-        assert!((c2 - 2.0 * c1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heavy_weight_dominates_the_fit() {
-        // A heavy first element forces the fit up to its value.
-        let pairs = [(5.0, 100.0), (1.0, 1.0)];
-        let (fit, cost) = weighted_isotonic_l1(&pairs);
-        assert!((fit[0] - 5.0).abs() < 1e-12);
-        assert!(fit[1] >= fit[0] - 1e-12);
-        assert!((cost - 4.0).abs() < 1e-12); // pay |1-5| * 1
-    }
-
-    #[test]
-    fn zero_weight_entries_are_free() {
-        // Middle element wildly off but weight 0: monotone fit is free.
-        let pairs = [(1.0, 1.0), (100.0, 0.0), (2.0, 1.0)];
-        let (_, cost) = weighted_isotonic_l1(&pairs);
-        assert!(cost < 1e-12);
-    }
-
-    #[test]
-    fn weighted_fit_is_monotone() {
-        let pairs = [(5.0, 2.0), (1.0, 1.0), (4.0, 3.0), (2.0, 0.5), (8.0, 1.0)];
-        let (fit, _) = weighted_isotonic_l1(&pairs);
-        assert!(fit.windows(2).all(|w| w[0] <= w[1] + 1e-12));
-        let (afit, _) = weighted_antitonic_l1(&pairs);
-        assert!(afit.windows(2).all(|w| w[0] + 1e-12 >= w[1]));
-    }
-
-    #[test]
-    fn tv_to_kmodal_lower_bounds_behave() {
-        // A unimodal distribution is at distance 0 for k >= 1.
-        let d = Distribution::from_weights(vec![1.0, 2.0, 5.0, 3.0, 1.0]).unwrap();
-        assert!(tv_to_kmodal_lower(&d, 1).unwrap() < 1e-12);
-        // Zigzag is far for small k and free for large k; monotone in k.
-        let z = Distribution::from_weights(vec![1.0, 3.0, 1.0, 3.0, 1.0, 3.0]).unwrap();
-        let mut prev = f64::INFINITY;
-        for k in 0..6 {
-            let v = tv_to_kmodal_lower(&z, k).unwrap();
-            assert!(v <= prev + 1e-12);
-            prev = v;
-        }
-        assert!(tv_to_kmodal_lower(&z, 1).unwrap() > 0.1);
-        assert!(tv_to_kmodal_lower(&z, 4).unwrap() < 1e-12);
     }
 }

@@ -251,7 +251,9 @@ pub fn estimate_acceptance_staged(
             .test(&mut oracle, k, epsilon, rng)
             .expect("experiment parameters must be valid");
         let drawn = oracle.samples_drawn();
-        let (ledger, timings) = oracle.finish_with_timings();
+        let (ledger, timings) = oracle
+            .finish_with_timings()
+            .expect("a null sink cannot fail");
         (decision.accepted(), drawn, ledger, timings)
     });
 

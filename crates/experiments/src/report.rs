@@ -168,33 +168,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (cells containing commas or quotes are
-    /// quoted).
-    pub fn render_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// A complete experiment report, serializable to JSON.
@@ -331,17 +304,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new("x", &["a", "b"]);
         t.push_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.push_row(vec!["plain".into(), "has,comma".into()]);
-        t.push_row(vec!["has\"quote".into(), "ok".into()]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has\"\"quote\""));
-        assert!(csv.starts_with("a,b\n"));
     }
 
     #[test]

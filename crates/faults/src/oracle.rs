@@ -2,8 +2,8 @@
 
 use histo_core::empirical::SampleCounts;
 use histo_core::HistoError;
+use histo_sampling::oracle::{draw_counts_literally, poissonized_counts_literally};
 use histo_sampling::{PortableRng, SampleOracle};
-use histo_stats::Poisson;
 use histo_trace::{Tracer, Value};
 
 use crate::plan::FaultPlan;
@@ -28,7 +28,7 @@ pub struct FaultCounters {
     pub duplicated: u64,
     /// Inner draws consumed but never returned.
     pub dropped: u64,
-    /// Stall events recorded (and slept through, in wall-clock mode).
+    /// Stall events recorded.
     pub stalled: u64,
     /// Requests refused because the budget cap was reached.
     pub budget_hits: u64,
@@ -108,11 +108,6 @@ impl<O: SampleOracle> FaultyOracle<O> {
         &self.inner
     }
 
-    /// Exclusive access to the wrapped oracle.
-    pub fn inner_mut(&mut self) -> &mut O {
-        &mut self.inner
-    }
-
     /// Unwraps, returning the inner oracle.
     pub fn into_inner(self) -> O {
         self.inner
@@ -145,21 +140,16 @@ impl<O: SampleOracle> FaultyOracle<O> {
         }
     }
 
-    /// Records (and in wall-clock mode, sleeps through) a stall if this
-    /// returned draw lands on the stall period.
+    /// Records a stall if this returned draw lands on the stall period.
     ///
-    /// Either way the stall reaches stage wall-time: a real sleep is
-    /// measured by a tracer's monotonic clock, and the virtual-time
-    /// `advance_clock` below moves any injected deterministic clock
-    /// (real clocks ignore it), so a traced faulty run attributes
-    /// `stall_us` to whichever stage was stalled.
+    /// The stall is virtual time: `advance_clock` moves any injected
+    /// deterministic clock (real clocks ignore it), so a traced faulty run
+    /// attributes `stall_us` to whichever stage was stalled without ever
+    /// sleeping.
     fn maybe_stall(&mut self) {
         let every = self.plan.stall_every;
         if every > 0 && self.returned % every == 0 {
             self.counters.stalled += 1;
-            if self.plan.real_sleep && self.plan.stall_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(self.plan.stall_us));
-            }
             if self.plan.stall_us > 0 {
                 if let Some(t) = self.inner.tracer() {
                     t.advance_clock(self.plan.stall_us);
@@ -245,12 +235,7 @@ impl<O: SampleOracle> SampleOracle for FaultyOracle<O> {
             self.returned += c.total();
             return Ok(c);
         }
-        let n = self.inner.n();
-        let mut counts = vec![0u64; n];
-        for _ in 0..m {
-            counts[self.try_draw(rng)?] += 1;
-        }
-        Ok(SampleCounts::from_counts(counts).expect("n >= 1"))
+        draw_counts_literally(self, m, rng)
     }
 
     fn try_poissonized_counts(
@@ -281,10 +266,9 @@ impl<O: SampleOracle> SampleOracle for FaultyOracle<O> {
             return Ok(c);
         }
         // Per-draw faults active: draw the Poissonized batch size with the
-        // caller's RNG (as the default implementation does), then route
-        // every constituent draw through the faulting path.
-        let m_prime = Poisson::new(m).sample(rng);
-        self.try_draw_counts(m_prime, rng)
+        // caller's RNG, then route every constituent draw through the
+        // faulting path.
+        poissonized_counts_literally(self, m, rng)
     }
 
     fn tracer(&mut self) -> Option<&mut Tracer> {
@@ -349,7 +333,7 @@ mod tests {
         }
         faulty.trace_exit();
         let stalled = faulty.counters().stalled;
-        let (_, timings) = faulty.into_inner().finish_with_timings();
+        let (_, timings) = faulty.into_inner().finish_with_timings().unwrap();
         // Draws 10, 20, 30 stall: 3 × 70 µs of virtual wall time, all
         // attributed to the stage that was open — deterministically.
         assert_eq!(stalled, 3);
@@ -370,6 +354,35 @@ mod tests {
             FaultPlan::none(),
         );
         assert_eq!(faulty.try_poissonized_counts(100.0, &mut rng2).unwrap(), pc);
+    }
+
+    #[test]
+    fn per_draw_fault_batch_is_the_single_draw_loop() {
+        // With per-draw faults a batch of m is exactly m faulted draws:
+        // same tally, same fault tallies, and both RNGs left in the same
+        // place.
+        let plan = FaultPlan::none()
+            .with_contamination(0.2, Adversary::Uniform)
+            .with_duplicates(0.1)
+            .with_drops(0.1)
+            .with_seed(21);
+        let m = 500;
+        let mut rng1 = PortableRng::seed_from(8);
+        let mut batched = FaultyOracle::new(uniform(6), plan.clone());
+        let counts = batched.try_draw_counts(m, &mut rng1).unwrap();
+
+        let mut rng2 = PortableRng::seed_from(8);
+        let mut looped = FaultyOracle::new(uniform(6), plan);
+        let mut tally = [0u64; 6];
+        for _ in 0..m {
+            tally[looped.try_draw(&mut rng2).unwrap()] += 1;
+        }
+
+        assert_eq!(counts.counts(), &tally[..]);
+        assert_eq!(batched.counters(), looped.counters());
+        assert_eq!(batched.consumed(), looped.consumed());
+        assert_eq!(rng1.next_u64(), rng2.next_u64());
+        assert_eq!(batched.frng.next_u64(), looped.frng.next_u64());
     }
 
     #[test]
@@ -519,7 +532,7 @@ mod tests {
             faulty.try_draw(&mut rng).unwrap();
         }
         faulty.emit_counters();
-        faulty.into_inner().finish();
+        faulty.into_inner().finish().unwrap();
         let text = String::from_utf8(buf.contents()).unwrap();
         assert!(text.contains("fault_events_contaminated"), "{text}");
         assert!(text.contains("fault_events_total"), "{text}");

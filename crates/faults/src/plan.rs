@@ -74,19 +74,12 @@ pub struct FaultPlan {
     /// never returned; the oracle retries until a draw survives).
     pub drop_prob: f64,
     /// Simulated stall latency in microseconds, recorded on every
-    /// [`FaultPlan::stall_every`]-th returned draw. Only actually slept
-    /// when [`FaultPlan::real_sleep`] is set; deterministic runs keep that
-    /// off and merely count stall events.
+    /// [`FaultPlan::stall_every`]-th returned draw. Never slept: the stall
+    /// is counted and advances a traced run's virtual clock.
     pub stall_us: u64,
     /// Record a stall on every `stall_every`-th returned draw; `0` disables
     /// stalls entirely.
     pub stall_every: u64,
-    /// Wall-clock mode: actually sleep `stall_us` on each stall event.
-    /// Never enabled by the spec-string parser (timeout tests opt in via
-    /// [`FaultPlan::with_real_sleep`]); excluded from determinism
-    /// guarantees only in the wall-clock sense — the sample stream is
-    /// unaffected either way.
-    pub real_sleep: bool,
     /// Seed of the dedicated fault RNG.
     pub seed: u64,
 }
@@ -102,7 +95,6 @@ impl FaultPlan {
             drop_prob: 0.0,
             stall_us: 0,
             stall_every: 0,
-            real_sleep: false,
             seed: 0,
         }
     }
@@ -137,12 +129,6 @@ impl FaultPlan {
     pub fn with_stalls(mut self, stall_us: u64, every: u64) -> Self {
         self.stall_us = stall_us;
         self.stall_every = every;
-        self
-    }
-
-    /// Enables wall-clock sleeping on stall events (timeout testing only).
-    pub fn with_real_sleep(mut self) -> Self {
-        self.real_sleep = true;
         self
     }
 
@@ -296,8 +282,7 @@ impl FromStr for FaultPlan {
 
 impl fmt::Display for FaultPlan {
     /// Renders the canonical spec string; `parse(plan.to_string())` round
-    /// trips every field except [`FaultPlan::real_sleep`] (a test-harness
-    /// toggle, deliberately unreachable from user-supplied specs).
+    /// trips every field.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_none() && self.seed == 0 {
             return f.write_str("none");

@@ -3,18 +3,17 @@
 //!
 //! A lower bound of `Ω(√n/ε²)` says: below that sample size, no algorithm
 //! can tell a random member of `Q_ε` from uniform with constant advantage.
-//! These harnesses measure the advantage achieved by (a) an arbitrary
+//! This harness measures the advantage achieved by an arbitrary
 //! real-valued statistic with its best threshold (a Kolmogorov–Smirnov-style
-//! maximum gap between the two empirical CDFs of the statistic), and (b) an
-//! arbitrary tester. Experiment F1 sweeps `m/√n` and watches the advantage
-//! rise from ~0 only around the predicted barrier.
+//! maximum gap between the two empirical CDFs of the statistic). Experiment
+//! F1 sweeps `m/√n` and watches the advantage rise from ~0 only around the
+//! predicted barrier.
 
 use histo_core::empirical::SampleCounts;
 use histo_core::Distribution;
 use histo_sampling::oracle::SampleOracle;
 use histo_sampling::DistOracle;
 use histo_stats::PortableRng;
-use histo_testers::Tester;
 
 /// An ensemble of distributions: each trial may see a fresh draw (e.g. a
 /// random member of `Q_ε`), or always the same one (e.g. uniform).
@@ -92,34 +91,6 @@ pub fn statistic_advantage(
         best = best.max(gap);
     }
     Ok(best)
-}
-
-/// Estimates a tester's advantage: `|P[accept | H0] − P[accept | H1]|`
-/// over `trials` runs per hypothesis.
-///
-/// # Errors
-///
-/// Propagates tester errors.
-pub fn tester_advantage(
-    h0: &dyn Ensemble,
-    h1: &dyn Ensemble,
-    tester: &dyn Tester,
-    k: usize,
-    epsilon: f64,
-    trials: usize,
-    rng: &mut PortableRng,
-) -> histo_core::Result<f64> {
-    let mut accept = [0usize; 2];
-    for (which, e) in [h0, h1].into_iter().enumerate() {
-        for _ in 0..trials {
-            let d = e.draw(rng);
-            let mut o = DistOracle::new(d).with_fast_poissonization();
-            if tester.test(&mut o, k, epsilon, rng)?.accepted() {
-                accept[which] += 1;
-            }
-        }
-    }
-    Ok((accept[0] as f64 - accept[1] as f64).abs() / trials as f64)
 }
 
 /// Convenience: the collision-count statistic.
@@ -204,20 +175,5 @@ mod tests {
             "advantage should rise with m: low {adv_low}, high {adv_high}"
         );
         assert!(adv_high > 0.7, "above the barrier: {adv_high}");
-    }
-
-    #[test]
-    fn tester_advantage_runs() {
-        use histo_testers::uniformity::CollisionUniformityTester;
-        let n = 400;
-        let fam = QEpsilonFamily::canonical(n, 0.12).unwrap();
-        let u = Distribution::uniform(n).unwrap();
-        let h1 = move |rng: &mut PortableRng| fam.sample_member(rng);
-        let t = CollisionUniformityTester::default();
-        let mut rng = PortableRng::seed_from(59);
-        // The family has tv_from_uniform = 0.36 >= the tested distance, so
-        // with its full budget the tester should distinguish well.
-        let adv = tester_advantage(&Fixed(u), &h1, &t, 1, 0.3, 20, &mut rng).unwrap();
-        assert!(adv > 0.5, "advantage {adv}");
     }
 }

@@ -21,9 +21,9 @@
 //!   constructive composition (H_k tester + agnostic learner + identity
 //!   tester ⇒ uniformity tester) through which the Paninski bound
 //!   transfers for `k = o(√n)`.
-//! - [`advantage`]: harnesses measuring the distinguishing advantage of
-//!   statistics and testers between two hypothesis ensembles — the
-//!   empirical form of the `Ω(√n/ε²)` barrier (experiment F1).
+//! - [`advantage`]: a harness measuring the distinguishing advantage of a
+//!   statistic between two hypothesis ensembles — the empirical form of
+//!   the `Ω(√n/ε²)` barrier (experiment F1).
 
 pub mod advantage;
 pub mod paninski;

@@ -197,19 +197,6 @@ impl<'a> LiftedTester<'a> {
     }
 }
 
-/// Analytic check used by the reduction's soundness: if the permuted
-/// support has `cover >= c`, the permuted distribution needs at least
-/// `2c − 1` pieces, and (by the pairing/isolation argument plus the `1/m`
-/// promise) is at least `(c − k)·(1/m)/2` far from `H_k` in TV. Returns
-/// that certified lower bound (clamped at 0).
-pub fn certified_distance_after_permutation(cover_count: usize, k: usize, m: usize) -> f64 {
-    // Each isolated chunk beyond what k pieces can "afford" forces a
-    // boundary where D* must be constant while D jumps by >= 1/m; the
-    // L1 cost per missed chunk is >= 1/m.
-    let missed = cover_count.saturating_sub(k) as f64;
-    (missed / m as f64 / 2.0).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,13 +328,6 @@ mod tests {
             far_count >= trials - 2,
             "only {far_count}/{trials} were far"
         );
-    }
-
-    #[test]
-    fn certified_distance_formula() {
-        assert_eq!(certified_distance_after_permutation(10, 10, 30), 0.0);
-        let d = certified_distance_after_permutation(25, 21, 30);
-        assert!((d - 4.0 / 60.0).abs() < 1e-12);
     }
 
     #[test]

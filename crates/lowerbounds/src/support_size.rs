@@ -104,20 +104,20 @@ impl SuppSizeInstance {
             support,
         })
     }
-
-    /// Whether the instance satisfies the `1/m` mass promise.
-    pub fn meets_promise(&self) -> bool {
-        let m = self.dist.n() as f64;
-        self.dist
-            .pmf()
-            .iter()
-            .all(|&p| p == 0.0 || p >= 1.0 / m - 1e-12)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the instance satisfies the `1/m` mass promise.
+    fn meets_promise(inst: &SuppSizeInstance) -> bool {
+        let m = inst.dist.n() as f64;
+        inst.dist
+            .pmf()
+            .iter()
+            .all(|&p| p == 0.0 || p >= 1.0 / m - 1e-12)
+    }
 
     #[test]
     fn canonical_instances_meet_promise_and_sizes() {
@@ -126,12 +126,12 @@ mod tests {
             assert!(low.is_low);
             assert_eq!(low.support, m / 3);
             assert_eq!(low.dist.support_size(), m / 3);
-            assert!(low.meets_promise());
+            assert!(meets_promise(&low));
 
             let high = SuppSizeInstance::high(m).unwrap();
             assert!(!high.is_low);
             assert!(high.support >= (7 * m) / 8);
-            assert!(high.meets_promise());
+            assert!(meets_promise(&high));
         }
         assert!(SuppSizeInstance::low(5).is_err());
     }
@@ -142,10 +142,10 @@ mod tests {
         for _ in 0..10 {
             let inst = SuppSizeInstance::random(60, true, &mut rng).unwrap();
             assert_eq!(inst.dist.support_size(), 20);
-            assert!(inst.meets_promise());
+            assert!(meets_promise(&inst));
             let inst = SuppSizeInstance::random(60, false, &mut rng).unwrap();
             assert!(inst.dist.support_size() >= 53);
-            assert!(inst.meets_promise());
+            assert!(meets_promise(&inst));
         }
     }
 

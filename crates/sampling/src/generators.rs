@@ -314,19 +314,6 @@ pub fn zero_pad(d: &Distribution, n: usize) -> Result<Distribution, HistoError> 
     Distribution::new(pmf)
 }
 
-/// The mass of the heaviest interval of width `w` — a quick diagnostic used
-/// by tests to confirm generated shapes are non-degenerate.
-pub fn heaviest_window(d: &Distribution, w: usize) -> f64 {
-    assert!(w >= 1 && w <= d.n());
-    let mut acc: f64 = d.pmf()[..w].iter().sum();
-    let mut best = acc;
-    for i in w..d.n() {
-        acc += d.mass(i) - d.mass(i - w);
-        best = best.max(acc);
-    }
-    best
-}
-
 /// Convenience: the interval covering the whole domain of `d`.
 pub fn full_domain(d: &Distribution) -> Interval {
     Interval::new(0, d.n()).expect("non-empty domain")
@@ -479,13 +466,5 @@ mod tests {
         assert_eq!(p.mass(4), 0.0);
         assert_eq!(p.support_size(), 2);
         assert!(zero_pad(&d, 1).is_err());
-    }
-
-    #[test]
-    fn heaviest_window_diagnostic() {
-        let d = Distribution::new(vec![0.1, 0.1, 0.6, 0.1, 0.1]).unwrap();
-        assert!((heaviest_window(&d, 1) - 0.6).abs() < 1e-12);
-        assert!((heaviest_window(&d, 5) - 1.0).abs() < 1e-12);
-        assert!((heaviest_window(&d, 2) - 0.7).abs() < 1e-12);
     }
 }

@@ -8,12 +8,17 @@
 //! - [`SampleOracle::try_draw`] — one i.i.d. sample (the one required
 //!   primitive).
 //! - [`SampleOracle::try_draw_counts`] — the tallied counts of exactly `m`
-//!   i.i.d. samples; the default loops over `try_draw`.
+//!   i.i.d. samples; the default ([`draw_counts_literally`]) loops over
+//!   `try_draw`.
 //! - [`SampleOracle::try_poissonized_counts`] — the per-element counts of a
 //!   `Poisson(m)`-sized i.i.d. batch (Section 2, "Poissonization"). The
-//!   default literally draws `m' ~ Poisson(m)` samples; the
-//!   distribution-backed [`DistOracle`] overrides it with the equivalent
-//!   per-bin fast path `N_i ~ Poisson(m·D(i))` when enabled.
+//!   default ([`poissonized_counts_literally`]) draws `m' ~ Poisson(m)`
+//!   samples; the distribution-backed [`DistOracle`] overrides it with the
+//!   equivalent per-bin fast path `N_i ~ Poisson(m·D(i))` when enabled.
+//!
+//! The two literal loops are free functions so that an oracle overriding a
+//! batch method for its fast path can still fall back to the very same
+//! loop, draw for draw.
 //!
 //! An oracle that can run out — a budget cap ([`BudgetedOracle`]), a
 //! finite recorded dataset, an injected fault — returns
@@ -43,8 +48,8 @@ pub trait SampleOracle {
     /// the draw (a budget cap, a finite dataset, an injected fault).
     fn try_draw(&mut self, rng: &mut PortableRng) -> Result<usize, HistoError>;
 
-    /// Draws exactly `m` i.i.d. samples and tallies them. The default
-    /// loops over [`SampleOracle::try_draw`].
+    /// Draws exactly `m` i.i.d. samples and tallies them. The default is
+    /// [`draw_counts_literally`].
     ///
     /// # Errors
     ///
@@ -56,16 +61,11 @@ pub trait SampleOracle {
         m: u64,
         rng: &mut PortableRng,
     ) -> Result<SampleCounts, HistoError> {
-        let mut counts = vec![0u64; self.n()];
-        for _ in 0..m {
-            counts[self.try_draw(rng)?] += 1;
-        }
-        Ok(SampleCounts::from_counts(counts).expect("n >= 1"))
+        draw_counts_literally(self, m, rng)
     }
 
     /// Draws a `Poisson(m)`-sized i.i.d. batch and tallies it. The default
-    /// draws the batch size `m' ~ Poisson(m)`, then calls
-    /// [`SampleOracle::try_draw_counts`].
+    /// is [`poissonized_counts_literally`].
     ///
     /// # Errors
     ///
@@ -78,8 +78,7 @@ pub trait SampleOracle {
         m: f64,
         rng: &mut PortableRng,
     ) -> Result<SampleCounts, HistoError> {
-        let m_prime = Poisson::new(m).sample(rng);
-        self.try_draw_counts(m_prime, rng)
+        poissonized_counts_literally(self, m, rng)
     }
 
     /// The [`Tracer`] charging this oracle's draws to pipeline stages, if
@@ -110,6 +109,40 @@ pub trait SampleOracle {
             t.counter(name, value);
         }
     }
+}
+
+/// Tallies `m` calls of `oracle.try_draw`: the default
+/// [`SampleOracle::try_draw_counts`].
+///
+/// # Errors
+///
+/// The first error of a `try_draw`; the draws before it stay counted.
+pub fn draw_counts_literally<O: SampleOracle + ?Sized>(
+    oracle: &mut O,
+    m: u64,
+    rng: &mut PortableRng,
+) -> Result<SampleCounts, HistoError> {
+    let mut counts = vec![0u64; oracle.n()];
+    for _ in 0..m {
+        counts[oracle.try_draw(rng)?] += 1;
+    }
+    Ok(SampleCounts::from_counts(counts).expect("n >= 1"))
+}
+
+/// Draws the batch size `m' ~ Poisson(m)` from `rng`, then calls
+/// `oracle.try_draw_counts(m')`: the default
+/// [`SampleOracle::try_poissonized_counts`].
+///
+/// # Errors
+///
+/// Whatever `try_draw_counts` returns.
+pub fn poissonized_counts_literally<O: SampleOracle + ?Sized>(
+    oracle: &mut O,
+    m: f64,
+    rng: &mut PortableRng,
+) -> Result<SampleCounts, HistoError> {
+    let m_prime = Poisson::new(m).sample(rng);
+    oracle.try_draw_counts(m_prime, rng)
 }
 
 /// A `&mut` reference to an oracle is itself an oracle. Every method —
@@ -184,23 +217,29 @@ impl<'a> ScopedOracle<'a> {
         self.tracer.ledger()
     }
 
-    /// Read access to the per-stage wall-time/allocation totals
-    /// accumulated so far. Draws, time, and allocations are all charged
-    /// through the same span stack, so this is the ledger's resource
-    /// counterpart (zero durations when the tracer is timing-free).
+    /// Read access to the per-stage wall-time totals accumulated so far.
+    /// Draws and time are charged through the same span stack, so this is
+    /// the ledger's time counterpart (zero durations when the tracer is
+    /// timing-free).
     pub fn timings(&self) -> &StageTimings {
         self.tracer.timings()
     }
 
     /// Finishes the tracer (emits the ledger summary, flushes the sink)
     /// and returns the ledger.
-    pub fn finish(self) -> SampleLedger {
+    ///
+    /// # Errors
+    /// The sink's first write error (see [`Tracer::finish`]).
+    pub fn finish(self) -> std::io::Result<SampleLedger> {
         self.tracer.finish()
     }
 
     /// Like [`ScopedOracle::finish`], additionally returning the
-    /// per-stage wall-time/allocation totals.
-    pub fn finish_with_timings(self) -> (SampleLedger, StageTimings) {
+    /// per-stage wall-time totals.
+    ///
+    /// # Errors
+    /// The sink's first write error (see [`Tracer::finish`]).
+    pub fn finish_with_timings(self) -> std::io::Result<(SampleLedger, StageTimings)> {
         self.tracer.finish_with_timings()
     }
 
@@ -389,12 +428,6 @@ impl DistOracle {
     pub fn distribution(&self) -> &Distribution {
         &self.dist
     }
-
-    /// Resets the sample counter (e.g. between repetitions of an
-    /// experiment trial that reuses the oracle).
-    pub fn reset_counter(&mut self) {
-        self.drawn = 0;
-    }
 }
 
 impl SampleOracle for DistOracle {
@@ -417,8 +450,7 @@ impl SampleOracle for DistOracle {
         rng: &mut PortableRng,
     ) -> Result<SampleCounts, HistoError> {
         if !self.fast_poissonization {
-            let m_prime = Poisson::new(m).sample(rng);
-            return self.try_draw_counts(m_prime, rng);
+            return poissonized_counts_literally(self, m, rng);
         }
         let counts: Vec<u64> = self
             .dist
@@ -451,8 +483,6 @@ mod tests {
         let c = o.try_draw_counts(25, &mut rng).unwrap();
         assert_eq!(c.total(), 25);
         assert_eq!(o.samples_drawn(), 35);
-        o.reset_counter();
-        assert_eq!(o.samples_drawn(), 0);
     }
 
     #[test]
@@ -527,7 +557,7 @@ mod tests {
         o.trace_exit();
         o.try_draw(&mut rng).unwrap(); // unattributed
         let total = o.samples_drawn();
-        let ledger = o.finish();
+        let ledger = o.finish().unwrap();
         assert_eq!(ledger.total(), total);
         assert_eq!(ledger.stage_total(Stage::ApproxPart), 100);
         assert_eq!(ledger.stage_total(Stage::AdkTest), 1);
@@ -548,7 +578,7 @@ mod tests {
         let c = o.try_draw_counts(37, &mut rng).unwrap();
         o.trace_exit();
         assert_eq!(c.total(), 37);
-        let ledger = o.finish();
+        let ledger = o.finish().unwrap();
         assert_eq!(ledger.stage_total(Stage::Learner), 37);
         assert_eq!(ledger.total(), 37);
     }
@@ -585,7 +615,7 @@ mod tests {
             o.try_draw(&mut rng).unwrap();
             o.trace_exit();
             o.trace_exit();
-            let (ledger, timings) = o.finish_with_timings();
+            let (ledger, timings) = o.finish_with_timings().unwrap();
             (ledger, timings)
         };
         let (ledger, timings) = run();
@@ -741,7 +771,7 @@ mod tests {
         assert!(o.try_poissonized_counts(200.0, &mut rng).is_err());
         o.trace_exit();
         let total = o.samples_drawn();
-        let ledger = o.finish();
+        let ledger = o.finish().unwrap();
         assert!(total > 5);
         assert_eq!(ledger.stage_total(Stage::Sieve), total);
         assert_eq!(ledger.total(), total);

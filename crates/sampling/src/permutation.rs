@@ -28,21 +28,21 @@ pub fn inverse(sigma: &[usize]) -> Vec<usize> {
     inv
 }
 
-/// Whether `sigma` is a permutation of `0..n`.
-pub fn is_permutation(sigma: &[usize]) -> bool {
-    let mut seen = vec![false; sigma.len()];
-    for &s in sigma {
-        if s >= sigma.len() || seen[s] {
-            return false;
-        }
-        seen[s] = true;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `sigma` is a permutation of `0..n`.
+    fn is_permutation(sigma: &[usize]) -> bool {
+        let mut seen = vec![false; sigma.len()];
+        for &s in sigma {
+            if s >= sigma.len() || seen[s] {
+                return false;
+            }
+            seen[s] = true;
+        }
+        true
+    }
 
     #[test]
     fn produces_valid_permutations() {

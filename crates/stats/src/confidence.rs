@@ -48,25 +48,9 @@ impl WilsonInterval {
         Self::new(successes, trials, 1.96)
     }
 
-    /// The 99% interval (`z = 2.576`).
-    pub fn ci99(successes: u64, trials: u64) -> Self {
-        Self::new(successes, trials, 2.576)
-    }
-
     /// Half-width of the interval.
     pub fn half_width(&self) -> f64 {
         (self.hi - self.lo) / 2.0
-    }
-
-    /// Whether the whole interval lies at or above `threshold` — i.e. we are
-    /// confident the true proportion meets the bound.
-    pub fn entirely_at_least(&self, threshold: f64) -> bool {
-        self.lo >= threshold
-    }
-
-    /// Whether the whole interval lies at or below `threshold`.
-    pub fn entirely_at_most(&self, threshold: f64) -> bool {
-        self.hi <= threshold
     }
 }
 
@@ -122,13 +106,5 @@ mod tests {
             covered as f64 / runs as f64 > 0.90,
             "coverage {covered}/{runs}"
         );
-    }
-
-    #[test]
-    fn threshold_helpers() {
-        let w = WilsonInterval::ci95(900, 1000);
-        assert!(w.entirely_at_least(0.85));
-        assert!(!w.entirely_at_least(0.95));
-        assert!(w.entirely_at_most(0.95));
     }
 }

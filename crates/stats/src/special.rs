@@ -88,16 +88,6 @@ pub fn log2(x: f64) -> f64 {
     x.log2()
 }
 
-/// `max(1, ceil(log2 x))` — the paper's `log k` with the small-`k` guard used
-/// whenever a quantity like "repeat `log k` times" must stay positive.
-pub fn ceil_log2_at_least_one(x: f64) -> usize {
-    if x <= 2.0 {
-        1
-    } else {
-        x.log2().ceil() as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,13 +155,5 @@ mod tests {
     #[test]
     fn ln_binomial_out_of_range_is_neg_infinity() {
         assert_eq!(ln_binomial_coeff(3, 4), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn ceil_log2_guard() {
-        assert_eq!(ceil_log2_at_least_one(1.0), 1);
-        assert_eq!(ceil_log2_at_least_one(2.0), 1);
-        assert_eq!(ceil_log2_at_least_one(3.0), 2);
-        assert_eq!(ceil_log2_at_least_one(1024.0), 10);
     }
 }

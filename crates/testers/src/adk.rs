@@ -218,12 +218,6 @@ impl ChiSquareTest {
         })
     }
 
-    /// Overrides the Poissonization parameter (used by sweeps).
-    pub fn with_m(mut self, m: f64) -> Self {
-        self.m = m;
-        self
-    }
-
     /// The Poissonization parameter in use.
     pub fn m(&self) -> f64 {
         self.m
@@ -246,29 +240,8 @@ impl ChiSquareTest {
         rng: &mut PortableRng,
     ) -> Result<Decision, HistoError> {
         oracle.trace_enter(Stage::AdkTest);
-        let counts = match oracle.try_poissonized_counts(self.m, rng) {
-            Ok(c) => c,
-            Err(e) => {
-                oracle.trace_exit();
-                return Err(e);
-            }
-        };
-        let z = z_statistics(
-            &counts,
-            &self.hypothesis,
-            &self.interval_indices,
-            self.m,
-            self.aeps_cutoff,
-        )
-        .expect("parameters validated at construction");
-        oracle.trace_counter("z_total", Value::F64(z.total));
-        oracle.trace_counter("threshold", Value::F64(self.threshold()));
-        oracle.trace_exit();
-        Ok(if z.total <= self.threshold() {
-            Decision::Accept
-        } else {
-            Decision::Reject
-        })
+        let z_total = self.draw_z_total(oracle, rng)?;
+        Ok(self.decide(oracle, z_total))
     }
 
     /// Median-amplified run: repeats the statistic `reps` times on fresh
@@ -289,35 +262,49 @@ impl ChiSquareTest {
         oracle.trace_enter(Stage::AdkTest);
         let mut totals: Vec<f64> = Vec::with_capacity(reps);
         for _ in 0..reps {
-            let counts = match oracle.try_poissonized_counts(self.m, rng) {
-                Ok(c) => c,
-                Err(e) => {
-                    oracle.trace_exit();
-                    return Err(e);
-                }
-            };
-            totals.push(
-                z_statistics(
-                    &counts,
-                    &self.hypothesis,
-                    &self.interval_indices,
-                    self.m,
-                    self.aeps_cutoff,
-                )
-                .expect("parameters validated at construction")
-                .total,
-            );
+            totals.push(self.draw_z_total(oracle, rng)?);
         }
         let z_median = histo_stats::try_median(&totals).expect("reps >= 1 batches");
         oracle.trace_counter("reps", Value::U64(reps as u64));
-        oracle.trace_counter("z_total", Value::F64(z_median));
+        Ok(self.decide(oracle, z_median))
+    }
+
+    /// Draws one Poissonized batch and returns its total `Z`. If the oracle
+    /// refuses the batch, closes the open stage span and returns the error.
+    fn draw_z_total(
+        &self,
+        oracle: &mut dyn SampleOracle,
+        rng: &mut PortableRng,
+    ) -> Result<f64, HistoError> {
+        let counts = match oracle.try_poissonized_counts(self.m, rng) {
+            Ok(c) => c,
+            Err(e) => {
+                oracle.trace_exit();
+                return Err(e);
+            }
+        };
+        Ok(z_statistics(
+            &counts,
+            &self.hypothesis,
+            &self.interval_indices,
+            self.m,
+            self.aeps_cutoff,
+        )
+        .expect("parameters validated at construction")
+        .total)
+    }
+
+    /// Emits `z_total` and `threshold`, closes the stage span, and
+    /// thresholds `z_total`.
+    fn decide(&self, oracle: &mut dyn SampleOracle, z_total: f64) -> Decision {
+        oracle.trace_counter("z_total", Value::F64(z_total));
         oracle.trace_counter("threshold", Value::F64(self.threshold()));
         oracle.trace_exit();
-        Ok(if z_median <= self.threshold() {
+        if z_total <= self.threshold() {
             Decision::Accept
         } else {
             Decision::Reject
-        })
+        }
     }
 }
 

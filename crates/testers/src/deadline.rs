@@ -249,7 +249,7 @@ mod tests {
         }
         o.trace_exit();
         drop(o);
-        scoped.finish();
+        scoped.finish().unwrap();
     }
 
     #[test]

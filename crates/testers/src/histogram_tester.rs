@@ -394,7 +394,7 @@ mod tests {
             ScopedOracle::with_tracer(&mut inner, Tracer::new(Box::new(sink)).without_timing());
         let trace = tester.test_traced(&mut o, 2, 0.4, &mut rng).unwrap();
         let total = o.samples_drawn();
-        let ledger = o.finish();
+        let ledger = o.finish().unwrap();
 
         // The defining invariant: the per-stage ledger partitions the
         // oracle's total draw count, with nothing unattributed — every

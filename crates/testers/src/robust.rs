@@ -520,7 +520,7 @@ mod tests {
         assert!(partial_ledger.total() > 0);
         assert!(partial_ledger.total() <= 2000);
         assert_eq!(partial_ledger.unattributed(), 0);
-        let ledger = o.finish(); // would panic on unbalanced spans
+        let ledger = o.finish().unwrap(); // would panic on unbalanced spans
         assert_eq!(ledger.total(), partial_ledger.total());
     }
 
@@ -548,7 +548,7 @@ mod tests {
             }
             other => panic!("expected Inconclusive, got {other:?}"),
         }
-        o.finish(); // would panic if the runner left spans open
+        o.finish().unwrap(); // would panic if the runner left spans open
     }
 
     #[test]

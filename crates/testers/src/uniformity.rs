@@ -99,15 +99,6 @@ pub fn paninski_unique_statistic(counts: &SampleCounts) -> u64 {
     counts.counts().iter().filter(|&&c| c == 1).count() as u64
 }
 
-/// The collision count normalized to an unbiased estimate of `‖D‖₂²`.
-pub fn l2_norm_estimate(counts: &SampleCounts) -> f64 {
-    let m = counts.total();
-    if m < 2 {
-        return f64::NAN;
-    }
-    counts.collisions() as f64 / ((m * (m - 1)) as f64 / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,25 +143,6 @@ mod tests {
             }
         }
         assert!(rejects >= trials * 3 / 4, "{rejects}/{trials}");
-    }
-
-    #[test]
-    fn l2_estimate_is_unbiased() {
-        let d = Distribution::new(vec![0.5, 0.25, 0.25]).unwrap();
-        let true_l2: f64 = d.pmf().iter().map(|p| p * p).sum();
-        let mut rng = PortableRng::seed_from(13);
-        let mut sum = 0.0;
-        let reps = 300;
-        for _ in 0..reps {
-            let mut o = DistOracle::new(d.clone());
-            let counts = o.try_draw_counts(200, &mut rng).unwrap();
-            sum += l2_norm_estimate(&counts);
-        }
-        let mean = sum / reps as f64;
-        assert!(
-            (mean - true_l2).abs() < 0.05 * true_l2,
-            "estimate {mean} vs {true_l2}"
-        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn sieve_budget_exhaustion_closes_span_and_keeps_draws_counted() {
     // Refusal never un-counts work.
     assert_eq!(capped.used(), 60);
     assert_eq!(capped.remaining(), 0);
-    let ledger = scoped.finish(); // panics if the sieve left spans open
+    let ledger = scoped.finish().unwrap(); // panics if the sieve left spans open
     assert_eq!(ledger.stage_total(Stage::Sieve), 60);
     // The emitted stream is span-balanced despite the error.
     let mut depth = 0i64;
@@ -170,7 +170,7 @@ fn cap_levels_attribute_failures_to_successive_stages() {
         trace.decided_by
     );
     let total = clean.samples_drawn();
-    let ledger = clean.finish();
+    let ledger = clean.finish().unwrap();
     let ap = ledger.stage_total(Stage::ApproxPart);
     let learner = ledger.stage_total(Stage::Learner);
     assert!(ap > 0 && learner > 0 && total > ap + learner);
@@ -219,7 +219,7 @@ fn every_wrapper_keeps_the_typed_error() {
         ("ScopedOracle", |o, check| {
             let mut scoped = ScopedOracle::with_tracer(o, Tracer::default().without_timing());
             check(&mut scoped);
-            scoped.finish();
+            scoped.finish().unwrap();
         }),
         ("FaultyOracle(none)", |o, check| {
             check(&mut FaultyOracle::new(o, FaultPlan::none()))

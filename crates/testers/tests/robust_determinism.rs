@@ -46,7 +46,7 @@ fn plain_run(accept_side: bool) -> Fingerprint {
         .test_traced(&mut oracle, 3, 0.3, &mut rng)
         .unwrap();
     let drawn = oracle.samples_drawn();
-    let ledger = oracle.finish();
+    let ledger = oracle.finish().unwrap();
     (trace.decision.accepted(), drawn, ledger, buf.contents())
 }
 
@@ -102,7 +102,7 @@ fn robust_run(accept_side: bool, armed: Armed) -> Fingerprint {
         "no faults may fire under none()"
     );
     let drawn = oracle.samples_drawn();
-    let ledger = oracle.into_inner().finish();
+    let ledger = oracle.into_inner().finish().unwrap();
     (decision.accepted(), drawn, ledger, buf.contents())
 }
 

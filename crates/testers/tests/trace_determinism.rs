@@ -39,7 +39,7 @@ fn run_once(accept_side: bool, clock_step: Option<u64>) -> (bool, u64, Vec<u8>) 
     let tester = HistogramTester::practical();
     let decision = tester.test(&mut oracle, 3, 0.3, &mut rng).unwrap();
     let drawn = histo_sampling::SampleOracle::samples_drawn(&oracle);
-    let ledger = oracle.finish();
+    let ledger = oracle.finish().unwrap();
     assert_eq!(ledger.total(), drawn, "ledger must sum to samples_drawn");
     (decision.accepted(), drawn, buf.contents())
 }

@@ -130,12 +130,6 @@ pub enum TraceEvent {
         /// Clock reading at exit; `None` in timing-free mode. Equals
         /// the matching enter's `t_us` plus `elapsed_us`.
         t_us: Option<u64>,
-        /// Heap allocations charged to this span exclusively; `None`
-        /// unless an [`crate::AllocProbe`] is attached.
-        alloc_count: Option<u64>,
-        /// Heap bytes charged to this span exclusively; `None` unless
-        /// an [`crate::AllocProbe`] is attached.
-        alloc_bytes: Option<u64>,
     },
     /// A named scalar observation, attributed to the innermost open
     /// stage (or none, at top level).
@@ -252,8 +246,6 @@ impl TraceEvent {
                 samples,
                 elapsed_us,
                 t_us,
-                alloc_count,
-                alloc_bytes,
             } => {
                 out.push_str("{\"ev\":\"exit\",\"seq\":");
                 out.push_str(&seq.to_string());
@@ -270,14 +262,6 @@ impl TraceEvent {
                 if let Some(t) = t_us {
                     out.push_str(",\"t_us\":");
                     out.push_str(&t.to_string());
-                }
-                if let Some(c) = alloc_count {
-                    out.push_str(",\"alloc_count\":");
-                    out.push_str(&c.to_string());
-                }
-                if let Some(b) = alloc_bytes {
-                    out.push_str(",\"alloc_bytes\":");
-                    out.push_str(&b.to_string());
                 }
                 out.push('}');
             }
@@ -367,8 +351,6 @@ mod tests {
             samples: 42,
             elapsed_us: None,
             t_us: None,
-            alloc_count: None,
-            alloc_bytes: None,
         };
         // Timing-free rendering is byte-for-byte what it was before the
         // timing channel existed — the determinism suite depends on it.
@@ -383,12 +365,10 @@ mod tests {
             samples: 42,
             elapsed_us: Some(17),
             t_us: Some(137),
-            alloc_count: Some(3),
-            alloc_bytes: Some(256),
         };
         assert_eq!(
             timed.to_json_line(),
-            r#"{"ev":"exit","seq":9,"stage":"check","depth":0,"samples":42,"elapsed_us":17,"t_us":137,"alloc_count":3,"alloc_bytes":256}"#
+            r#"{"ev":"exit","seq":9,"stage":"check","depth":0,"samples":42,"elapsed_us":17,"t_us":137}"#
         );
     }
 

@@ -34,18 +34,13 @@
 //! [`ManualClock`] in tests), timestamps appear only as optional
 //! `t_us`/`elapsed_us` fields, and per-stage totals accumulate in
 //! [`StageTimings`] — the timing counterpart of the [`SampleLedger`].
-//! An optional [`AllocProbe`] extends the same attribution to heap
-//! allocation counts and bytes; [`alloc`] provides one over a counting
-//! global allocator.
 
 mod clock;
 mod event;
-mod probe;
 mod sink;
 mod tracer;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use event::{escape_json_into, Stage, TraceEvent, Value};
-pub use probe::{alloc, AllocProbe};
 pub use sink::{JsonlSink, MemorySink, NullSink, SharedBuffer, TraceSink};
 pub use tracer::{SampleLedger, StageTimings, StageWall, Tracer};

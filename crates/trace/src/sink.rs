@@ -14,8 +14,11 @@ pub trait TraceSink: Send {
     /// Consumes one event.
     fn record(&mut self, event: &TraceEvent);
 
-    /// Flushes any buffered output. Called by [`crate::Tracer::finish`].
-    fn flush(&mut self) {}
+    /// Flushes any buffered output and reports the first write error
+    /// the sink has met, if any. Called by [`crate::Tracer::finish`].
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Discards every event. The default sink: tracing disabled.
@@ -105,7 +108,8 @@ impl Write for SharedBuffer {
 pub struct JsonlSink<W: Write + Send> {
     writer: W,
     /// First write error, if any; subsequent events are dropped. Trace
-    /// output must never abort a tester run mid-flight.
+    /// output must never abort a tester run mid-flight, so the error
+    /// waits for [`TraceSink::flush`] to report it.
     error: Option<io::Error>,
 }
 
@@ -124,11 +128,6 @@ impl<W: Write + Send> JsonlSink<W> {
             error: None,
         }
     }
-
-    /// The first write error encountered, if any.
-    pub fn last_error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
 }
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
@@ -143,11 +142,15 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
         }
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self) -> io::Result<()> {
         if self.error.is_none() {
             if let Err(e) = self.writer.flush() {
                 self.error = Some(e);
             }
+        }
+        match &self.error {
+            None => Ok(()),
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
         }
     }
 }
@@ -185,7 +188,7 @@ mod tests {
         let mut sink = JsonlSink::new(buf.clone());
         sink.record(&enter(0));
         sink.record(&enter(1));
-        sink.flush();
+        sink.flush().unwrap();
         let text = String::from_utf8(buf.contents()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -196,7 +199,7 @@ mod tests {
     fn null_sink_is_a_noop() {
         let mut sink = NullSink;
         sink.record(&enter(0));
-        sink.flush();
+        sink.flush().unwrap();
     }
 
     /// A writer that succeeds for the first `ok_calls` writes and then
@@ -229,11 +232,12 @@ mod tests {
         for seq in 0..5 {
             sink.record(&enter(seq));
         }
-        sink.flush(); // must not panic after the writer died
-        assert_eq!(
-            sink.last_error().map(|e| e.kind()),
-            Some(io::ErrorKind::WriteZero)
-        );
+        // Every flush after the writer died reports the first error.
+        for _ in 0..2 {
+            let err = sink.flush().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+            assert_eq!(err.to_string(), "writer died");
+        }
         // Exactly the pre-failure events made it out, as whole lines.
         let text = String::from_utf8(buf.contents()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -257,10 +261,11 @@ mod tests {
         t.exit();
         t.exit();
         // The whole run — including the ledger footer — must complete
-        // without panicking even though output died after one line, and
-        // the ledger itself is unaffected by the sink failure.
-        let ledger = t.finish();
-        assert_eq!(ledger.total(), 12);
+        // without panicking even though output died after one line; the
+        // ledger itself is unaffected, and `finish` reports the error.
+        assert_eq!(t.ledger().total(), 12);
+        let err = t.finish().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         let text = String::from_utf8(buf.contents()).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.starts_with("{\"ev\":\"enter\""));

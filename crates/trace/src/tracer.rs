@@ -3,8 +3,8 @@
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::event::{Stage, TraceEvent, Value};
-use crate::probe::AllocProbe;
 use crate::sink::{NullSink, TraceSink};
+use std::io;
 
 /// Per-stage attribution of oracle draws.
 ///
@@ -69,7 +69,7 @@ impl SampleLedger {
     }
 }
 
-/// Per-stage wall-time and allocation totals, aggregated over spans.
+/// Per-stage wall-time totals, aggregated over spans.
 ///
 /// `inclusive_us` counts a span's full duration (children included);
 /// `exclusive_us` subtracts time spent in nested spans, so summing it
@@ -85,14 +85,9 @@ pub struct StageWall {
     pub inclusive_us: u64,
     /// Total span duration in µs with nested spans' time subtracted.
     pub exclusive_us: u64,
-    /// Heap allocations attributed to this stage exclusively (0 unless
-    /// an [`AllocProbe`] is attached).
-    pub alloc_count: u64,
-    /// Heap bytes attributed to this stage exclusively.
-    pub alloc_bytes: u64,
 }
 
-/// Wall-time/allocation ledger: the timing counterpart of [`SampleLedger`].
+/// Wall-time ledger: the timing counterpart of [`SampleLedger`].
 ///
 /// Entries are kept in first-seen order like the sample ledger. All
 /// durations are zero when the tracer runs timing-free — span counts
@@ -141,10 +136,6 @@ struct Frame {
     start_us: Option<u64>,
     /// Total µs spent in already-closed child spans of this frame.
     child_us: u64,
-    /// Allocation events charged to this span exclusively.
-    alloc_count: u64,
-    /// Allocation bytes charged to this span exclusively.
-    alloc_bytes: u64,
 }
 
 /// Owns a [`TraceSink`], a span stack, and a [`SampleLedger`].
@@ -160,10 +151,6 @@ pub struct Tracer {
     timings: StageTimings,
     seq: u64,
     clock: Option<Box<dyn Clock>>,
-    probe: Option<Box<dyn AllocProbe>>,
-    /// Last probe snapshot; deltas since it belong to the innermost
-    /// open span.
-    alloc_last: (u64, u64),
 }
 
 impl Default for Tracer {
@@ -182,8 +169,6 @@ impl Tracer {
             timings: StageTimings::default(),
             seq: 0,
             clock: Some(Box::new(MonotonicClock::new())),
-            probe: None,
-            alloc_last: (0, 0),
         }
     }
 
@@ -199,16 +184,6 @@ impl Tracer {
     /// [`crate::ManualClock`] so tests can assert on exact timestamps.
     pub fn with_clock(mut self, clock: Box<dyn Clock>) -> Self {
         self.clock = Some(clock);
-        self
-    }
-
-    /// Attaches an allocation probe: from now on every span exit
-    /// carries the allocation count/bytes charged to that span
-    /// exclusively (deltas between boundary snapshots go to the
-    /// innermost open stage).
-    pub fn with_alloc_probe(mut self, mut probe: Box<dyn AllocProbe>) -> Self {
-        self.alloc_last = probe.snapshot();
-        self.probe = Some(probe);
         self
     }
 
@@ -233,27 +208,8 @@ impl Tracer {
         self.clock.as_mut().map(|c| c.now_us())
     }
 
-    /// Charges allocator activity since the last boundary snapshot to
-    /// the innermost open span. Called at every span boundary so the
-    /// attribution is exclusive (a parent never absorbs a child's
-    /// allocations).
-    fn settle_alloc(&mut self) {
-        let Some(probe) = self.probe.as_mut() else {
-            return;
-        };
-        let snap = probe.snapshot();
-        let d_count = snap.0.saturating_sub(self.alloc_last.0);
-        let d_bytes = snap.1.saturating_sub(self.alloc_last.1);
-        self.alloc_last = snap;
-        if let Some(frame) = self.stack.last_mut() {
-            frame.alloc_count += d_count;
-            frame.alloc_bytes += d_bytes;
-        }
-    }
-
     /// Opens a span for `stage`. Spans nest; close with [`exit`](Tracer::exit).
     pub fn enter(&mut self, stage: Stage) {
-        self.settle_alloc();
         let seq = self.next_seq();
         let depth = self.stack.len();
         let t_us = self.now_us();
@@ -268,8 +224,6 @@ impl Tracer {
             charged: 0,
             start_us: t_us,
             child_us: 0,
-            alloc_count: 0,
-            alloc_bytes: 0,
         });
     }
 
@@ -279,7 +233,6 @@ impl Tracer {
     /// If no span is open — an unbalanced exit is a bug in the
     /// instrumented code, not a runtime condition to tolerate.
     pub fn exit(&mut self) {
-        self.settle_alloc();
         let frame = self
             .stack
             .pop()
@@ -290,7 +243,6 @@ impl Tracer {
             (Some(start), Some(now)) => Some(now.saturating_sub(start)),
             _ => None,
         };
-        let has_probe = self.probe.is_some();
         self.sink.record(&TraceEvent::StageExit {
             seq,
             stage: frame.stage,
@@ -298,16 +250,12 @@ impl Tracer {
             samples: frame.charged,
             elapsed_us,
             t_us,
-            alloc_count: has_probe.then_some(frame.alloc_count),
-            alloc_bytes: has_probe.then_some(frame.alloc_bytes),
         });
         let elapsed = elapsed_us.unwrap_or(0);
         let wall = self.timings.entry_mut(frame.stage);
         wall.spans += 1;
         wall.inclusive_us += elapsed;
         wall.exclusive_us += elapsed.saturating_sub(frame.child_us);
-        wall.alloc_count += frame.alloc_count;
-        wall.alloc_bytes += frame.alloc_bytes;
         match self.stack.last_mut() {
             Some(parent) => parent.child_us += elapsed,
             None => self.timings.root_us += elapsed,
@@ -349,7 +297,7 @@ impl Tracer {
         &self.ledger
     }
 
-    /// Read access to the per-stage wall-time/allocation totals
+    /// Read access to the per-stage wall-time totals
     /// accumulated so far (spans still open are not counted).
     pub fn timings(&self) -> &StageTimings {
         &self.timings
@@ -364,19 +312,26 @@ impl Tracer {
     /// stage plus a [`TraceEvent::LedgerTotal`] footer), flushes the
     /// sink, and returns the ledger.
     ///
+    /// # Errors
+    /// The sink's first write error, if it met one at any point of the
+    /// run: the trace on disk is then incomplete.
+    ///
     /// # Panics
     /// If spans are still open — the instrumentation must be balanced
     /// before the run is summarized.
-    pub fn finish(self) -> SampleLedger {
-        self.finish_with_timings().0
+    pub fn finish(self) -> io::Result<SampleLedger> {
+        Ok(self.finish_with_timings()?.0)
     }
 
     /// Like [`Tracer::finish`], additionally returning the per-stage
-    /// wall-time/allocation totals.
+    /// wall-time totals.
+    ///
+    /// # Errors
+    /// The sink's first write error (see [`Tracer::finish`]).
     ///
     /// # Panics
     /// If spans are still open (see [`Tracer::finish`]).
-    pub fn finish_with_timings(mut self) -> (SampleLedger, StageTimings) {
+    pub fn finish_with_timings(mut self) -> io::Result<(SampleLedger, StageTimings)> {
         assert!(
             self.stack.is_empty(),
             "Tracer::finish with {} open span(s)",
@@ -390,11 +345,11 @@ impl Tracer {
             samples: self.ledger.total,
             unattributed: self.ledger.unattributed,
         });
-        self.sink.flush();
-        (
+        self.sink.flush()?;
+        Ok((
             std::mem::take(&mut self.ledger),
             std::mem::take(&mut self.timings),
-        )
+        ))
     }
 }
 
@@ -406,7 +361,7 @@ impl Tracer {
 /// ledger footer.
 impl Drop for Tracer {
     fn drop(&mut self) {
-        self.sink.flush();
+        let _ = self.sink.flush();
     }
 }
 
@@ -426,7 +381,7 @@ mod tests {
         t.charge(2);
         t.exit();
         t.charge(3); // top level: unattributed
-        let ledger = t.finish();
+        let ledger = t.finish().unwrap();
         assert_eq!(ledger.stage_total(Stage::Sieve), 12);
         assert_eq!(ledger.stage_total(Stage::AdkTest), 5);
         assert_eq!(ledger.unattributed(), 3);
@@ -446,7 +401,7 @@ mod tests {
             t.charge(n);
             t.exit();
         }
-        let ledger = t.finish();
+        let ledger = t.finish().unwrap();
         let sum: u64 = ledger.entries().iter().map(|(_, n)| n).sum();
         assert_eq!(sum + ledger.unattributed(), ledger.total());
         assert_eq!(ledger.stage_total(Stage::ApproxPart), 12);
@@ -466,7 +421,7 @@ mod tests {
         t.charge(4);
         t.exit();
         t.exit();
-        t.finish();
+        t.finish().unwrap();
         let exits: Vec<(Stage, u64)> = handle
             .events()
             .iter()
@@ -490,7 +445,7 @@ mod tests {
         t.exit();
         t.charge(1);
         t.exit();
-        let ledger = t.finish();
+        let ledger = t.finish().unwrap();
         let from_exits: u64 = handle
             .events()
             .iter()
@@ -511,7 +466,7 @@ mod tests {
         t.enter(Stage::Sieve);
         t.counter("round", 2u64);
         t.exit();
-        t.finish();
+        t.finish().unwrap();
         let counters: Vec<(Option<Stage>, &'static str)> = handle
             .events()
             .iter()
@@ -532,7 +487,7 @@ mod tests {
             t.charge(100);
             t.counter("partition_size", 17u64);
             t.exit();
-            t.finish();
+            t.finish().unwrap();
             buf.contents()
         };
         assert_eq!(run(), run());
@@ -546,7 +501,7 @@ mod tests {
         let mut t = Tracer::new(Box::new(sink));
         t.enter(Stage::Check);
         t.exit();
-        t.finish();
+        t.finish().unwrap();
         let has_elapsed = handle.events().iter().any(|e| {
             matches!(
                 e,
@@ -567,7 +522,7 @@ mod tests {
         t.enter(Stage::Learner);
         t.charge(8);
         t.exit();
-        t.finish();
+        t.finish().unwrap();
         let events = handle.events();
         let n = events.len();
         assert_eq!(
@@ -597,7 +552,7 @@ mod tests {
             t.enter(Stage::AdkTest);
             t.exit();
             t.exit();
-            t.finish();
+            t.finish().unwrap();
             buf.contents()
         };
         assert_eq!(run(), run());
@@ -617,7 +572,7 @@ mod tests {
         t.enter(Stage::AdkTest); // t=30
         t.exit(); // t=40: adk inclusive 10
         t.exit(); // t=50: sieve inclusive 50, exclusive 30
-        let (_, timings) = t.finish_with_timings();
+        let (_, timings) = t.finish_with_timings().unwrap();
         let sieve = timings.stage(Stage::Sieve);
         let adk = timings.stage(Stage::AdkTest);
         assert_eq!(
@@ -637,54 +592,16 @@ mod tests {
         t.enter(Stage::Check);
         t.advance_clock(250);
         t.exit();
-        let (_, timings) = t.finish_with_timings();
+        let (_, timings) = t.finish_with_timings().unwrap();
         assert_eq!(timings.stage(Stage::Check).inclusive_us, 250);
         // ...and is ignored without a clock.
         let mut t = Tracer::default().without_timing();
         t.enter(Stage::Check);
         t.advance_clock(250);
         t.exit();
-        let (_, timings) = t.finish_with_timings();
+        let (_, timings) = t.finish_with_timings().unwrap();
         assert_eq!(timings.stage(Stage::Check).inclusive_us, 0);
         assert_eq!(timings.stage(Stage::Check).spans, 1);
-    }
-
-    #[test]
-    fn alloc_probe_attributes_to_innermost_stage() {
-        use crate::probe::test_probe::FakeProbe;
-        let probe = FakeProbe::default();
-        let sink = MemorySink::new();
-        let handle = sink.handle();
-        let mut t = Tracer::new(Box::new(sink))
-            .without_timing()
-            .with_alloc_probe(Box::new(probe.clone()));
-        probe.bump(1, 100); // before any span: discarded
-        t.enter(Stage::Sieve);
-        probe.bump(2, 200);
-        t.enter(Stage::AdkTest);
-        probe.bump(3, 300);
-        t.exit();
-        probe.bump(4, 400);
-        t.exit();
-        let (_, timings) = t.finish_with_timings();
-        let sieve = timings.stage(Stage::Sieve);
-        let adk = timings.stage(Stage::AdkTest);
-        assert_eq!((sieve.alloc_count, sieve.alloc_bytes), (6, 600));
-        assert_eq!((adk.alloc_count, adk.alloc_bytes), (3, 300));
-        let exits: Vec<(Stage, u64, u64)> = handle
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::StageExit {
-                    stage,
-                    alloc_count: Some(c),
-                    alloc_bytes: Some(b),
-                    ..
-                } => Some((*stage, *c, *b)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(exits, [(Stage::AdkTest, 3, 300), (Stage::Sieve, 6, 600)]);
     }
 
     #[test]
@@ -716,6 +633,6 @@ mod tests {
     fn finish_with_open_span_panics() {
         let mut t = Tracer::default();
         t.enter(Stage::Sieve);
-        t.finish();
+        t.finish().unwrap();
     }
 }

@@ -2,7 +2,9 @@
 """Validates a histo-trace JSONL file (the fewbins `--trace` output).
 
 Checks, per trace file:
-  1. every line is a JSON object with a known "ev" kind;
+  1. every line is a JSON object with a known "ev" kind and exactly the
+     keys of that kind (SCHEMA): a missing or unknown key fails, so a
+     field deleted from the tracer cannot come back unnoticed;
   2. enter/exit spans are balanced, properly nested, and depth-consistent
      (exit stage matches the matching enter, depths agree with the stack);
   3. seq numbers of enter/exit/counter events are strictly increasing;
@@ -19,9 +21,7 @@ Checks, per trace file:
      exit), `t_us` must be monotone non-decreasing across the stream,
      every timed exit's `elapsed_us` must equal the delta to its
      matching enter's `t_us`, and timing must be all-or-nothing per
-     span (a timed exit requires a timed enter and vice versa); the
-     optional alloc fields (`alloc_count`/`alloc_bytes`) must be
-     non-negative integers and travel as a pair.
+     span (a timed exit requires a timed enter and vice versa).
 
 Usage: scripts/check_trace.py trace.jsonl [more.jsonl ...]
 Exits non-zero on the first malformed file (after printing all findings).
@@ -29,7 +29,16 @@ Exits non-zero on the first malformed file (after printing all findings).
 import json
 import sys
 
-KINDS = {"enter", "exit", "counter", "ledger", "ledger_total"}
+# Per event kind: (required keys, optional keys). The optional keys are
+# the timing fields, absent in timing-free mode, and a counter's stage,
+# absent at top level.
+SCHEMA = {
+    "enter": ({"ev", "seq", "stage", "depth"}, {"t_us"}),
+    "exit": ({"ev", "seq", "stage", "depth", "samples"}, {"elapsed_us", "t_us"}),
+    "counter": ({"ev", "seq", "name", "value"}, {"stage"}),
+    "ledger": ({"ev", "stage", "samples"}, set()),
+    "ledger_total": ({"ev", "samples", "unattributed"}, set()),
+}
 
 
 FAULT_KINDS = [
@@ -63,9 +72,19 @@ def check(path):
             except json.JSONDecodeError as e:
                 errors.append(f"line {lineno}: not JSON ({e})")
                 continue
-            kind = ev.get("ev")
-            if kind not in KINDS:
+            kind = ev.get("ev") if isinstance(ev, dict) else None
+            if kind not in SCHEMA:
                 errors.append(f"line {lineno}: unknown ev {kind!r}")
+                continue
+            required, optional = SCHEMA[kind]
+            missing = sorted(required - ev.keys())
+            unknown = sorted(ev.keys() - required - optional)
+            if missing or unknown:
+                errors.append(
+                    f"line {lineno}: {kind} event missing keys {missing}, "
+                    f"unknown keys {unknown}"
+                )
+            if missing:
                 continue
             events += 1
             if "seq" in ev:
@@ -80,12 +99,6 @@ def check(path):
                     errors.append(f"line {lineno}: t_us went backwards ({t} < {last_t})")
                 else:
                     last_t = t
-            for a in ("alloc_count", "alloc_bytes"):
-                v = ev.get(a)
-                if v is not None and (not isinstance(v, int) or v < 0):
-                    errors.append(f"line {lineno}: {a} {v!r} is not a non-negative int")
-            if ("alloc_count" in ev) != ("alloc_bytes" in ev):
-                errors.append(f"line {lineno}: alloc_count/alloc_bytes must travel as a pair")
             if kind == "enter":
                 if ev["depth"] != len(stack):
                     errors.append(f"line {lineno}: enter depth {ev['depth']} != stack {len(stack)}")

@@ -7,9 +7,9 @@
 //! - `certify`   — offline DP bounds on `d_TV(D, H_k)` for an explicit pmf.
 //! - `sketch`    — agnostically learn a k-histogram sketch from samples.
 //! - `report`    — aggregate JSONL trace files into a per-stage table of
-//!   samples, wall time, and allocations, plus the injected-fault
-//!   counters (optionally against the Theorem 1.1 theory terms when
-//!   `--n`/`--k` are given). It is the one view derived from a trace.
+//!   samples and wall time, plus the injected-fault counters (optionally
+//!   against the Theorem 1.1 theory terms when `--n`/`--k` are given). It
+//!   is the one view derived from a trace.
 //!
 //! Input formats: `test`/`select-k`/`sketch` read 0-based sample indices
 //! from a file (or stdin with `-`) and stream them into one count per
@@ -31,8 +31,9 @@
 //! draws returned to the tester.
 //!
 //! Exit codes: `0` ok · `1` internal error (a panic) · `2` usage error ·
-//! `3` bad input data · `4` samples exhausted (dataset or budget) · `5`
-//! inconclusive · `6` deadline exceeded.
+//! `3` bad input data, or a `--trace` file that cannot be written · `4`
+//! samples exhausted (dataset or budget) · `5` inconclusive · `6` deadline
+//! exceeded.
 //!
 //! Examples:
 //!
@@ -315,22 +316,24 @@ fn with_stack<T>(
     let mut scoped = ScopedOracle::with_tracer(oracle, tracer);
     // A plan that injects nothing (`--faults none`) gets no fault layer,
     // so its trace is byte-identical to a run without `--faults`.
-    let (result, ledger, timings) = match plan.as_ref().filter(|p| !p.is_none()) {
+    let (result, finished) = match plan.as_ref().filter(|p| !p.is_none()) {
         None => {
             let result = body(&mut scoped);
-            let (ledger, timings) = scoped.finish_with_timings();
-            (result, ledger, timings)
+            (result, scoped.finish_with_timings())
         }
         Some(plan) => {
             let mut faulty = FaultyOracle::new(scoped, plan.clone());
             let result = body(&mut faulty);
             faulty.emit_counters();
             report_faults(faulty.counters());
-            let (ledger, timings) = faulty.into_inner().finish_with_timings();
-            (result, ledger, timings)
+            (result, faulty.into_inner().finish_with_timings())
         }
     };
+    // Only a `--trace` file can fail to write; an incomplete trace fails
+    // the run, whatever its outcome.
     if let Some(path) = trace_path {
+        let (ledger, timings) =
+            finished.map_err(|e| CliError::input(format!("writing {path}: {e}")))?;
         report_ledger(path, &ledger, &timings);
     }
     result
@@ -636,13 +639,13 @@ fn run() -> Result<(), CliError> {
              \x20      eta=0.1,adv=point:0,budget=50000,dup=0.01,drop=0.02,stall=5x100,seed=9\n\
              \n\
              report: aggregates one or more --trace outputs into a per-stage\n\
-             \x20      table (samples, wall time, allocations) and the injected\n\
-             \x20      fault counters; give --n/--k [--eps] to add Theorem 1.1\n\
-             \x20      theory-term columns; --json switches the output format\n\
+             \x20      table (samples, wall time) and the injected fault counters;\n\
+             \x20      give --n/--k [--eps] to add Theorem 1.1 theory-term\n\
+             \x20      columns; --json switches the output format\n\
              \n\
              exit codes: 0 ok; 1 internal error (a panic); 2 usage; 3 bad input\n\
-             \x20      data; 4 samples exhausted (dataset or budget); 5 inconclusive;\n\
-             \x20      6 deadline exceeded"
+             \x20      data or an unwritable --trace file; 4 samples exhausted\n\
+             \x20      (dataset or budget); 5 inconclusive; 6 deadline exceeded"
         );
         return Ok(());
     }

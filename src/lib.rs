@@ -51,7 +51,7 @@
 //! | [`testers`] | Algorithm 1 and all subroutines; baselines; model selection; the resilient runner (budget, retries, deadlines) |
 //! | [`lowerbounds`] | the `Q_ε` family, `SuppSize`, the §4.2 reduction |
 //! | [`experiments`] | acceptance estimation, budget search, reports |
-//! | [`report`] | the `fewbins report` trace analyzer: per-stage samples, wall time, allocations and fault counters vs theory |
+//! | [`report`] | the `fewbins report` trace analyzer: per-stage samples, wall time and fault counters vs theory |
 
 /// Re-export of `histo-core`.
 pub use histo_core as core;

@@ -9,8 +9,6 @@
 //!   exactly),
 //! - **wall time** (inclusive and exclusive microseconds replayed from the
 //!   span stack; exclusive times telescope to the root span duration),
-//! - **allocations** (when the trace was produced with an
-//!   [`histo_trace::AllocProbe`] attached, e.g. `histo_trace::alloc`),
 //! - **fault counters** (the `fault_*` totals a fault-injected run emits,
 //!   summed across files), and
 //! - optional **Theorem 1.1 theory terms** from
@@ -223,10 +221,6 @@ pub struct StageReport {
     /// Wall time excluding nested child spans, microseconds. Summed over
     /// all stages this telescopes to [`TraceReport::root_us`].
     pub exclusive_us: u64,
-    /// Heap allocations charged exclusively to the stage.
-    pub alloc_count: u64,
-    /// Heap bytes charged exclusively to the stage.
-    pub alloc_bytes: u64,
 }
 
 /// The aggregate of one or more replayed trace files.
@@ -246,8 +240,6 @@ pub struct TraceReport {
     pub events: u64,
     /// Whether any timing fields (`elapsed_us`/`t_us`) were present.
     pub timed: bool,
-    /// Whether any allocation fields were present.
-    pub has_alloc: bool,
     /// `fault_*` counter totals in first-seen order (empty unless a trace
     /// came from a fault-injected run).
     pub faults: Vec<(String, u64)>,
@@ -356,8 +348,6 @@ impl TraceReport {
                             )));
                         }
                     }
-                    let alloc_count = field(&pairs, "alloc_count").and_then(Scalar::as_u64);
-                    let alloc_bytes = field(&pairs, "alloc_bytes").and_then(Scalar::as_u64);
                     if let Some(e) = elapsed {
                         self.timed = true;
                         match stack.last_mut() {
@@ -365,21 +355,12 @@ impl TraceReport {
                             None => self.root_us += e,
                         }
                     }
-                    if alloc_count.is_some() || alloc_bytes.is_some() {
-                        self.has_alloc = true;
-                    }
                     let row = self.stage_mut(stage);
                     row.spans += 1;
                     row.span_samples += samples;
                     if let Some(e) = elapsed {
                         row.inclusive_us += e;
                         row.exclusive_us += e.saturating_sub(frame.child_us);
-                    }
-                    if let Some(c) = alloc_count {
-                        row.alloc_count += c;
-                    }
-                    if let Some(b) = alloc_bytes {
-                        row.alloc_bytes += b;
                     }
                     bump(&mut file_span_samples, stage, samples);
                 }
@@ -442,16 +423,13 @@ impl TraceReport {
         Ok(())
     }
 
-    /// Renders the human-facing table. Wall-time and allocation columns
-    /// appear only when the traces carried them; theory columns only when
+    /// Renders the human-facing table. Wall-time columns appear only when
+    /// the traces carried them; theory columns only when
     /// `theory` parameters are given.
     pub fn render_table(&self, theory: Option<&TheoryParams>) -> Table {
         let mut headers: Vec<&str> = vec!["stage", "samples", "share", "spans"];
         if self.timed {
             headers.extend(["wall_us", "wall_incl_us", "wall%"]);
-        }
-        if self.has_alloc {
-            headers.extend(["allocs", "alloc_bytes"]);
         }
         if theory.is_some() {
             headers.extend(["theory_term", "samples/term"]);
@@ -479,10 +457,6 @@ impl TraceReport {
                 cells.push(row.exclusive_us.to_string());
                 cells.push(row.inclusive_us.to_string());
                 cells.push(pct(row.exclusive_us, self.root_us));
-            }
-            if self.has_alloc {
-                cells.push(row.alloc_count.to_string());
-                cells.push(row.alloc_bytes.to_string());
             }
             if let Some(p) = theory {
                 match theory::term_for_stage(name, p.n, p.k, p.epsilon) {
@@ -513,22 +487,6 @@ impl TraceReport {
             total.push(self.root_us.to_string());
             total.push(self.root_us.to_string());
             total.push("100.0%".to_string());
-        }
-        if self.has_alloc {
-            total.push(
-                self.stages
-                    .iter()
-                    .map(|(_, r)| r.alloc_count)
-                    .sum::<u64>()
-                    .to_string(),
-            );
-            total.push(
-                self.stages
-                    .iter()
-                    .map(|(_, r)| r.alloc_bytes)
-                    .sum::<u64>()
-                    .to_string(),
-            );
         }
         if let Some(p) = theory {
             total.push(format!(
@@ -584,12 +542,6 @@ impl TraceReport {
                 out.push_str(&format!(
                     ",\"wall_us\":{},\"wall_incl_us\":{}",
                     row.exclusive_us, row.inclusive_us
-                ));
-            }
-            if self.has_alloc {
-                out.push_str(&format!(
-                    ",\"alloc_count\":{},\"alloc_bytes\":{}",
-                    row.alloc_count, row.alloc_bytes
                 ));
             }
             if let Some(p) = theory {
@@ -661,7 +613,7 @@ mod tests {
         tracer.enter(Stage::Learner);
         tracer.charge(13);
         tracer.exit();
-        let (_ledger, _timings) = tracer.finish_with_timings();
+        let (_ledger, _timings) = tracer.finish_with_timings().unwrap();
         String::from_utf8(buf.contents()).unwrap()
     }
 
@@ -798,7 +750,7 @@ mod tests {
         tracer.counter("fault_events_dropped", 2u64);
         tracer.counter("fault_events_total", 3u64);
         tracer.counter("unrelated", 7u64);
-        tracer.finish();
+        tracer.finish().unwrap();
         let text = String::from_utf8(buf.contents()).unwrap();
         let mut report = TraceReport::new();
         report.add_stream("a", &text).unwrap();

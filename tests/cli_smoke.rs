@@ -146,6 +146,27 @@ fn input_errors_exit_three() {
     assert!(!stderr(&out).contains("warning"), "{}", stderr(&out));
 }
 
+/// A trace that cannot be written fails the run with exit 3 instead of
+/// reporting "trace written" over a lost file.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_trace_exits_three() {
+    let data = dataset("devfull");
+    let data = data.to_str().unwrap();
+    for cmd in ["test", "select-k", "sketch"] {
+        let argv = ["--n", "30", "--k", "2", "--trace", "/dev/full", data];
+        let out = fewbins(&[&[cmd][..], &argv[..]].concat());
+        assert_eq!(code(&out), 3, "{cmd}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("fewbins: writing /dev/full: "),
+            "{cmd}: {}",
+            stderr(&out)
+        );
+        assert!(!stderr(&out).contains("trace written"), "{cmd}");
+        assert!(stdout(&out).is_empty(), "{cmd}: {}", stdout(&out));
+    }
+}
+
 #[test]
 fn exhausted_dataset_exits_four() {
     // 60 samples against a budget of hundreds of thousands: the
