@@ -20,9 +20,9 @@
 //!     consumed but never delivered.
 //!
 //! Every injected fault is tallied in [`FaultCounters`] and can be emitted
-//! as the `fault_events_*` counter family next to the sample ledger in a
-//! `histo-trace` JSONL stream, where `scripts/check_trace.py` audits the
-//! fault ledger identity (`returned == consumed - dropped + duplicated`).
+//! as the [`FAULT_COUNTERS`] family next to the sample ledger in a
+//! `histo-trace` JSONL stream, where `fewbins report` audits the fault
+//! ledger identity (`returned == consumed - dropped + duplicated`).
 //!
 //! Determinism contract: fault decisions consume a dedicated RNG seeded
 //! from the plan — never the caller's sampling RNG — and
@@ -32,5 +32,5 @@
 pub mod oracle;
 pub mod plan;
 
-pub use oracle::{FaultCounters, FaultyOracle};
+pub use oracle::{FaultCounters, FaultyOracle, FAULT_COUNTERS};
 pub use plan::{Adversary, FaultPlan};

@@ -8,11 +8,25 @@ use histo_trace::{Tracer, Value};
 
 use crate::plan::FaultPlan;
 
+/// The trace counter family [`FaultyOracle::emit_counters`] writes, in
+/// emission order: the five [`FaultCounters`] kinds, their total, and the
+/// draws returned to the caller. `fewbins report` checks a trace's
+/// `fault_*` counters against this list.
+pub const FAULT_COUNTERS: [&str; 7] = [
+    "fault_events_contaminated",
+    "fault_events_duplicated",
+    "fault_events_dropped",
+    "fault_events_stalled",
+    "fault_events_budget_hits",
+    "fault_events_total",
+    "fault_returned_draws",
+];
+
 /// Tallies of every fault injected so far, by kind.
 ///
-/// The counts satisfy the *fault ledger identity* audited by
-/// `scripts/check_trace.py`: with `returned` the number of draws handed to
-/// the caller and `consumed` the number of inner draws,
+/// The counts satisfy the *fault ledger identity* that `fewbins report`
+/// audits in a trace: with `returned` the number of draws handed to the
+/// caller and `consumed` the number of inner draws,
 ///
 /// ```text
 /// returned == consumed - dropped + duplicated
@@ -113,22 +127,21 @@ impl<O: SampleOracle> FaultyOracle<O> {
         self.inner
     }
 
-    /// Emits the `fault_events_*` counter family (plus
-    /// `fault_returned_draws`) on the tracer attached below this oracle, so
-    /// the JSONL trace carries an auditable fault record next to the sample
-    /// ledger. No-op without a tracer.
+    /// Emits the [`FAULT_COUNTERS`] family on the tracer attached below
+    /// this oracle, so the JSONL trace carries an auditable fault record
+    /// next to the sample ledger. No-op without a tracer.
     pub fn emit_counters(&mut self) {
         let c = self.counters;
-        let returned = self.returned;
-        for (name, v) in [
-            ("fault_events_contaminated", c.contaminated),
-            ("fault_events_duplicated", c.duplicated),
-            ("fault_events_dropped", c.dropped),
-            ("fault_events_stalled", c.stalled),
-            ("fault_events_budget_hits", c.budget_hits),
-            ("fault_events_total", c.total()),
-            ("fault_returned_draws", returned),
-        ] {
+        let values = [
+            c.contaminated,
+            c.duplicated,
+            c.dropped,
+            c.stalled,
+            c.budget_hits,
+            c.total(),
+            self.returned,
+        ];
+        for (name, v) in FAULT_COUNTERS.into_iter().zip(values) {
             self.inner.trace_counter(name, Value::U64(v));
         }
     }

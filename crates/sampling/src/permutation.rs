@@ -1,5 +1,5 @@
-//! Uniformly random permutations (Fisher–Yates) and permutation utilities
-//! for the Section 4.2 reduction.
+//! Uniformly random permutations (Fisher–Yates) for the Section 4.2
+//! reduction.
 
 use histo_stats::PortableRng;
 
@@ -9,23 +9,6 @@ pub fn random_permutation(n: usize, rng: &mut PortableRng) -> Vec<usize> {
     let mut sigma: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut sigma);
     sigma
-}
-
-/// The inverse permutation: `inverse(sigma)[sigma\[i\]] == i`.
-///
-/// # Panics
-///
-/// Panics if `sigma` is not a permutation of `0..n`.
-pub fn inverse(sigma: &[usize]) -> Vec<usize> {
-    let mut inv = vec![usize::MAX; sigma.len()];
-    for (i, &s) in sigma.iter().enumerate() {
-        assert!(
-            s < sigma.len() && inv[s] == usize::MAX,
-            "input is not a permutation"
-        );
-        inv[s] = i;
-    }
-    inv
 }
 
 #[cfg(test)]
@@ -55,17 +38,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_round_trips() {
-        let mut rng = PortableRng::seed_from(6);
-        let sigma = random_permutation(50, &mut rng);
-        let inv = inverse(&sigma);
-        for i in 0..50 {
-            assert_eq!(inv[sigma[i]], i);
-            assert_eq!(sigma[inv[i]], i);
-        }
-    }
-
-    #[test]
     fn permutations_are_roughly_uniform() {
         // Over S_3 (6 permutations), frequencies should be near 1/6.
         let mut rng = PortableRng::seed_from(7);
@@ -88,11 +60,5 @@ mod tests {
         assert!(!is_permutation(&[0, 0, 1]));
         assert!(!is_permutation(&[0, 3, 1]));
         assert!(is_permutation(&[]));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn inverse_panics_on_non_permutation() {
-        inverse(&[1, 1]);
     }
 }

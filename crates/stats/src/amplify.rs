@@ -147,51 +147,6 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Median-of-means estimator: split `values` into `groups` contiguous groups,
-/// average each, return the median of the group means. The classic
-/// heavy-tail-robust mean estimator; used by the experiment harness when
-/// summarizing runtimes.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] if `groups == 0` or
-/// `values.len() < groups`, and propagates [`try_median`] errors (NaN input).
-pub fn try_median_of_means(values: &[f64], groups: usize) -> Result<f64, StatsError> {
-    if groups == 0 {
-        return Err(StatsError::InvalidParameter {
-            name: "groups",
-            reason: "need at least one group".to_string(),
-        });
-    }
-    if values.len() < groups {
-        return Err(StatsError::InvalidParameter {
-            name: "values",
-            reason: format!("{} values cannot fill {} groups", values.len(), groups),
-        });
-    }
-    let per = values.len() / groups;
-    let means: Vec<f64> = (0..groups)
-        .map(|g| {
-            let chunk = &values[g * per..(g + 1) * per];
-            chunk.iter().sum::<f64>() / chunk.len() as f64
-        })
-        .collect();
-    try_median(&means)
-}
-
-/// Infallible shim over [`try_median_of_means`].
-///
-/// # Panics
-///
-/// Panics if `groups == 0` or `values.len() < groups`.
-#[doc(hidden)]
-pub fn median_of_means(values: &[f64], groups: usize) -> f64 {
-    match try_median_of_means(values, groups) {
-        Ok(m) => m,
-        Err(e) => panic!("median_of_means: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,17 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn median_of_means_robust_to_outlier() {
-        let mut vals = vec![1.0; 99];
-        vals.push(1e9); // gross outlier
-        let est = median_of_means(&vals, 10);
-        assert!(
-            est < 2.0,
-            "median of means should discard the outlier: {est}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "empty")]
     fn median_empty_panics() {
         median(&[]);
@@ -269,11 +213,6 @@ mod tests {
         assert_eq!(
             try_repetitions_for_confidence(0.01).unwrap(),
             repetitions_for_confidence(0.01)
-        );
-        let vals: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        assert_eq!(
-            try_median_of_means(&vals, 4).unwrap(),
-            median_of_means(&vals, 4)
         );
     }
 
@@ -295,8 +234,6 @@ mod tests {
         ));
         assert!(try_repetitions_for_confidence(0.0).is_err());
         assert!(try_repetitions_for_confidence(1.0).is_err());
-        assert!(try_median_of_means(&[1.0], 2).is_err());
-        assert!(try_median_of_means(&[1.0], 0).is_err());
         // The error type renders a human-readable message.
         let msg = try_median(&[]).unwrap_err().to_string();
         assert!(msg.contains("median"), "{msg}");

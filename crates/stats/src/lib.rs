@@ -32,8 +32,8 @@ pub mod special;
 pub mod summary;
 
 pub use amplify::{
-    majority_vote, median, median_of_means, repetitions_for_confidence, try_majority_vote,
-    try_median, try_median_of_means, try_repetitions_for_confidence, StatsError,
+    majority_vote, median, repetitions_for_confidence, try_majority_vote, try_median,
+    try_repetitions_for_confidence, StatsError,
 };
 pub use binomial::Binomial;
 pub use confidence::WilsonInterval;

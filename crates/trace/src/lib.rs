@@ -22,7 +22,7 @@
 //!   open stage, so the ledger *provably* partitions the total draw
 //!   count (`Σ per-stage + unattributed = total`). The invariant is
 //!   enforced in tests here and re-checked from the emitted JSONL by
-//!   `scripts/check_trace.py`.
+//!   `fewbins report`.
 //!
 //! Byte-determinism: with timing disabled ([`Tracer::without_timing`])
 //! the emitted event stream is a pure function of the algorithm's

@@ -302,8 +302,8 @@ fn report_ledger(path: &str, ledger: &SampleLedger, timings: &StageTimings) {
 /// [`ScopedOracle`] over `tracer` (see [`ingest`]; the ledger summary goes
 /// to stderr when `trace_path` is set) and a [`FaultyOracle`] when `plan`
 /// injects anything. The fault layer wraps the tracer, so injected fault
-/// counters are emitted into the trace stream, audited by
-/// `scripts/check_trace.py` and summed by `fewbins report`. The tracer is
+/// counters are emitted into the trace stream, where `fewbins report`
+/// audits and sums them. The tracer is
 /// always attached because a stage deadline reads the current stage from
 /// it; it never touches the draw stream.
 fn with_stack<T>(
@@ -685,7 +685,7 @@ fn run() -> Result<(), CliError> {
                         "this run will fail when the data runs out — lower --scale or add data"
                     } else {
                         "bootstrap resampling will test the (noisy) empirical distribution \
-                         instead — prefer more data or a lower --scale"
+                         instead — prefer more data"
                     }
                 );
             }

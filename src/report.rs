@@ -1,8 +1,9 @@
-//! `fewbins report`: offline aggregation of JSONL trace streams.
+//! `fewbins report`: offline aggregation of JSONL trace streams, and the
+//! one reader of the trace format.
 //!
-//! The tracer writes one JSON object per line; this module replays
-//! those streams with a tiny flat-object parser (enough for the trace
-//! schema) and folds them into a per-stage table of
+//! The tracer writes one JSON object per line; this module decodes each
+//! line with a tiny flat-object parser into a typed event with an exact
+//! key set per `ev` kind, and folds the stream into a per-stage table of
 //!
 //! - **samples** (from the `ledger` footer rows, cross-checked against the
 //!   per-span `exit.samples` sums, so the report reproduces the ledger
@@ -16,12 +17,12 @@
 //!   with the `√n/ε²·log k + k/ε³·log²k + k/ε·log(k/ε)` prediction.
 //!
 //! Multiple trace files aggregate by summation (stage keys are merged in
-//! first-seen order). Malformed streams — unbalanced spans, a missing
-//! `ledger_total` footer (e.g. a truncated stream from a dropped tracer),
-//! or ledger rows that disagree with the span sums — are reported as
-//! errors rather than silently producing wrong totals.
+//! first-seen order). A stream that breaks any rule of the schema (listed
+//! on [`TraceReport::add_stream`]) is reported as an error rather than
+//! silently producing wrong totals.
 use histo_experiments::theory;
 use histo_experiments::Table;
+use histo_faults::FAULT_COUNTERS;
 use histo_trace::escape_json_into;
 
 /// A scalar JSON value as found in trace lines.
@@ -39,21 +40,6 @@ enum Scalar {
     Bool(bool),
     /// `null`.
     Null,
-}
-
-impl Scalar {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Scalar::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 /// Parses one flat JSON object (`{"key":scalar,...}`) into key/value
@@ -92,6 +78,8 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = bytes
                                 .get(*pos + 1..*pos + 5)
@@ -172,6 +160,9 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
                 }
                 _ => return Err(err(pos, "expected scalar value")),
             };
+            if pairs.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate key '{key}'"));
+            }
             pairs.push((key, value));
             skip_ws(bytes, &mut pos);
             match bytes.get(pos) {
@@ -191,20 +182,143 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
     Ok(pairs)
 }
 
-fn field<'a>(pairs: &'a [(String, Scalar)], key: &str) -> Option<&'a Scalar> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// One decoded trace line. Each `ev` kind has an exact key set: the
+/// required keys below plus the optional ones noted, so a key the writer
+/// does not emit, or one it stopped emitting, fails the line.
+#[derive(Debug, PartialEq)]
+enum Event {
+    /// `enter`: `seq`, `stage`, `depth`, optional `t_us`.
+    Enter {
+        seq: u64,
+        stage: String,
+        depth: u64,
+        t_us: Option<u64>,
+    },
+    /// `exit`: `seq`, `stage`, `depth`, `samples`, optional `elapsed_us`
+    /// and `t_us`.
+    Exit {
+        seq: u64,
+        stage: String,
+        depth: u64,
+        samples: u64,
+        elapsed_us: Option<u64>,
+        t_us: Option<u64>,
+    },
+    /// `counter`: `seq`, `name`, `value`, optional string `stage`.
+    Counter {
+        seq: u64,
+        name: String,
+        value: Scalar,
+    },
+    /// `ledger`: `stage`, `samples`.
+    Ledger { stage: String, samples: u64 },
+    /// `ledger_total`: `samples`, `unattributed`.
+    LedgerTotal { samples: u64, unattributed: u64 },
 }
 
-fn required_u64(pairs: &[(String, Scalar)], key: &str) -> Result<u64, String> {
-    field(pairs, key)
-        .and_then(Scalar::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
+impl Event {
+    fn seq(&self) -> Option<u64> {
+        match self {
+            Event::Enter { seq, .. } | Event::Exit { seq, .. } | Event::Counter { seq, .. } => {
+                Some(*seq)
+            }
+            Event::Ledger { .. } | Event::LedgerTotal { .. } => None,
+        }
+    }
+
+    fn t_us(&self) -> Option<u64> {
+        match self {
+            Event::Enter { t_us, .. } | Event::Exit { t_us, .. } => *t_us,
+            _ => None,
+        }
+    }
 }
 
-fn required_str<'a>(pairs: &'a [(String, Scalar)], key: &str) -> Result<&'a str, String> {
-    field(pairs, key)
-        .and_then(Scalar::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
+/// The key/value pairs of one line, removed key by key as they decode;
+/// whatever is left over is a key the schema does not have.
+struct Fields(Vec<(String, Scalar)>);
+
+impl Fields {
+    fn take(&mut self, key: &str) -> Option<Scalar> {
+        let at = self.0.iter().position(|(k, _)| k == key)?;
+        Some(self.0.remove(at).1)
+    }
+
+    fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(Scalar::U64(v)) => Ok(Some(v)),
+            Some(other) => Err(format!(
+                "key '{key}' is {other:?}, not a non-negative integer"
+            )),
+        }
+    }
+
+    fn opt_str(&mut self, key: &str) -> Result<Option<String>, String> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(Scalar::Str(s)) => Ok(Some(s)),
+            Some(other) => Err(format!("key '{key}' is {other:?}, not a string")),
+        }
+    }
+
+    fn u64(&mut self, key: &str) -> Result<u64, String> {
+        self.opt_u64(key)?
+            .ok_or_else(|| format!("missing key '{key}'"))
+    }
+
+    fn str(&mut self, key: &str) -> Result<String, String> {
+        self.opt_str(key)?
+            .ok_or_else(|| format!("missing key '{key}'"))
+    }
+
+    /// Decodes the rest of an `ev` line, then rejects any key left over.
+    fn event(mut self, ev: &str) -> Result<Event, String> {
+        let event = match ev {
+            "enter" => Event::Enter {
+                seq: self.u64("seq")?,
+                stage: self.str("stage")?,
+                depth: self.u64("depth")?,
+                t_us: self.opt_u64("t_us")?,
+            },
+            "exit" => Event::Exit {
+                seq: self.u64("seq")?,
+                stage: self.str("stage")?,
+                depth: self.u64("depth")?,
+                samples: self.u64("samples")?,
+                elapsed_us: self.opt_u64("elapsed_us")?,
+                t_us: self.opt_u64("t_us")?,
+            },
+            "counter" => {
+                self.opt_str("stage")?;
+                Event::Counter {
+                    seq: self.u64("seq")?,
+                    name: self.str("name")?,
+                    value: self.take("value").ok_or("missing key 'value'")?,
+                }
+            }
+            "ledger" => Event::Ledger {
+                stage: self.str("stage")?,
+                samples: self.u64("samples")?,
+            },
+            "ledger_total" => Event::LedgerTotal {
+                samples: self.u64("samples")?,
+                unattributed: self.u64("unattributed")?,
+            },
+            _ => return Err("is not a known kind".into()),
+        };
+        match self.0.first() {
+            Some((key, _)) => Err(format!("has unknown key '{key}'")),
+            None => Ok(event),
+        }
+    }
+}
+
+/// Decodes one trace line into its typed event.
+fn decode(line: &str) -> Result<Event, String> {
+    let mut fields = Fields(parse_flat_object(line)?);
+    let ev = fields.str("ev")?;
+    fields.event(&ev).map_err(|e| format!("{ev} event {e}"))
 }
 
 /// Aggregated per-stage measurements across one or more traces.
@@ -212,8 +326,6 @@ fn required_str<'a>(pairs: &'a [(String, Scalar)], key: &str) -> Result<&'a str,
 pub struct StageReport {
     /// Draws charged to the stage (sum of its `ledger` footer rows).
     pub samples: u64,
-    /// Sum of per-span exclusive `exit.samples` (must equal `samples`).
-    pub span_samples: u64,
     /// Number of closed spans.
     pub spans: u64,
     /// Wall time including nested child spans, microseconds.
@@ -277,57 +389,73 @@ impl TraceReport {
         &mut self.stages.last_mut().unwrap().1
     }
 
-    /// Replays one JSONL trace stream into the aggregate.
+    /// Replays one JSONL trace stream into the aggregate, enforcing every
+    /// rule of the trace schema: the exact key set of each event kind,
+    /// strictly increasing `seq`, span nesting and `depth`, timing that is
+    /// all-or-nothing per span, one `ledger_total` footer that both the
+    /// ledger rows and the exit samples reconcile with, and a complete,
+    /// reconciling [`FAULT_COUNTERS`] family whenever a `fault_*` counter
+    /// appears. `docs/OBSERVABILITY.md` states each rule.
     ///
     /// # Errors
     ///
-    /// Returns a message naming `source` and the offending line on parse
-    /// failures, unbalanced spans, a missing `ledger_total` footer, a
-    /// non-monotone timestamp, or a ledger/span-sum mismatch.
+    /// Returns a message naming `source`, the offending line where there
+    /// is one, and the broken rule.
     pub fn add_stream(&mut self, source: &str, text: &str) -> Result<(), String> {
         let mut stack: Vec<Frame> = Vec::new();
-        let mut saw_total = false;
+        let mut footer: Option<(u64, u64)> = None;
+        let mut last_seq: Option<u64> = None;
         let mut last_t: Option<u64> = None;
         // Per-file ledger rows, checked against this file's span sums.
         let mut file_ledger: Vec<(String, u64)> = Vec::new();
         let mut file_span_samples: Vec<(String, u64)> = Vec::new();
+        let mut file_faults: [Option<u64>; FAULT_COUNTERS.len()] = Default::default();
 
         for (lineno, line) in text.lines().enumerate() {
             let at = |what: String| format!("{source}:{}: {what}", lineno + 1);
             if line.trim().is_empty() {
                 continue;
             }
-            let pairs = parse_flat_object(line).map_err(&at)?;
+            let event = decode(line).map_err(&at)?;
             self.events += 1;
-            let ev = required_str(&pairs, "ev").map_err(&at)?;
+            if let Some(seq) = event.seq() {
+                if let Some(prev) = last_seq.filter(|&prev| seq <= prev) {
+                    return Err(at(format!("seq {seq} after {prev} is not increasing")));
+                }
+                last_seq = Some(seq);
+            }
             // Timestamps, wherever they appear, must be non-decreasing.
-            if let Some(t) = field(&pairs, "t_us").and_then(Scalar::as_u64) {
+            if let Some(t) = event.t_us() {
                 self.timed = true;
-                if let Some(prev) = last_t {
-                    if t < prev {
-                        return Err(at(format!("t_us went backwards ({prev} -> {t})")));
-                    }
+                if let Some(prev) = last_t.filter(|&prev| t < prev) {
+                    return Err(at(format!("t_us went backwards ({prev} -> {t})")));
                 }
                 last_t = Some(t);
             }
-            match ev {
-                "enter" => {
-                    let stage = required_str(&pairs, "stage").map_err(&at)?;
-                    let depth = required_u64(&pairs, "depth").map_err(&at)?;
-                    if depth as usize != stack.len() {
+            match event {
+                Event::Enter {
+                    stage, depth, t_us, ..
+                } => {
+                    if depth != stack.len() as u64 {
                         return Err(at(format!(
                             "enter depth {depth} but {} spans open",
                             stack.len()
                         )));
                     }
                     stack.push(Frame {
-                        stage: stage.to_string(),
+                        stage,
                         child_us: 0,
-                        enter_t: field(&pairs, "t_us").and_then(Scalar::as_u64),
+                        enter_t: t_us,
                     });
                 }
-                "exit" => {
-                    let stage = required_str(&pairs, "stage").map_err(&at)?;
+                Event::Exit {
+                    stage,
+                    depth,
+                    samples,
+                    elapsed_us,
+                    t_us,
+                    ..
+                } => {
                     let frame = stack
                         .pop()
                         .ok_or_else(|| at("exit with no open span".into()))?;
@@ -337,60 +465,84 @@ impl TraceReport {
                             frame.stage
                         )));
                     }
-                    let samples = required_u64(&pairs, "samples").map_err(&at)?;
-                    let elapsed = field(&pairs, "elapsed_us").and_then(Scalar::as_u64);
-                    let t_exit = field(&pairs, "t_us").and_then(Scalar::as_u64);
-                    if let (Some(e), Some(t0), Some(t1)) = (elapsed, frame.enter_t, t_exit) {
-                        if t0 + e != t1 {
-                            return Err(at(format!(
-                                "elapsed_us {e} != t_us delta {}",
-                                t1.saturating_sub(t0)
-                            )));
-                        }
+                    if depth != stack.len() as u64 {
+                        return Err(at(format!(
+                            "exit depth {depth} but {} spans remain open",
+                            stack.len()
+                        )));
                     }
+                    let elapsed = match (frame.enter_t, elapsed_us, t_us) {
+                        (None, None, None) => None,
+                        (Some(t0), Some(e), Some(t1)) => {
+                            if t0.checked_add(e) != Some(t1) {
+                                return Err(at(format!(
+                                    "elapsed_us {e} != t_us delta {}",
+                                    t1.saturating_sub(t0)
+                                )));
+                            }
+                            Some(e)
+                        }
+                        (t0, e, t1) => {
+                            return Err(at(format!(
+                                "timing must be all-or-nothing per span (enter t_us {}, \
+                                 exit t_us {}, elapsed_us {})",
+                                or_none(t0),
+                                or_none(t1),
+                                or_none(e)
+                            )))
+                        }
+                    };
                     if let Some(e) = elapsed {
-                        self.timed = true;
                         match stack.last_mut() {
                             Some(parent) => parent.child_us += e,
                             None => self.root_us += e,
                         }
                     }
-                    let row = self.stage_mut(stage);
+                    let row = self.stage_mut(&stage);
                     row.spans += 1;
-                    row.span_samples += samples;
                     if let Some(e) = elapsed {
                         row.inclusive_us += e;
                         row.exclusive_us += e.saturating_sub(frame.child_us);
                     }
-                    bump(&mut file_span_samples, stage, samples);
+                    bump(&mut file_span_samples, &stage, samples).map_err(&at)?;
                 }
-                "ledger" => {
-                    let stage = required_str(&pairs, "stage").map_err(&at)?;
-                    let samples = required_u64(&pairs, "samples").map_err(&at)?;
-                    bump(&mut file_ledger, stage, samples);
-                    self.stage_mut(stage).samples += samples;
+                Event::Ledger { stage, samples } => {
+                    bump(&mut file_ledger, &stage, samples).map_err(&at)?;
+                    self.stage_mut(&stage).samples += samples;
                 }
-                "ledger_total" => {
-                    let samples = required_u64(&pairs, "samples").map_err(&at)?;
-                    let unattributed = required_u64(&pairs, "unattributed").map_err(&at)?;
-                    let row_sum: u64 = file_ledger.iter().map(|(_, s)| s).sum();
-                    if row_sum + unattributed != samples {
+                Event::LedgerTotal {
+                    samples,
+                    unattributed,
+                } => {
+                    if footer.replace((samples, unattributed)).is_some() {
+                        return Err(at("second ledger_total footer".into()));
+                    }
+                    let row_sum = wide_sum(&file_ledger);
+                    if row_sum + u128::from(unattributed) != u128::from(samples) {
                         return Err(at(format!(
                             "ledger_total {samples} != row sum {row_sum} + unattributed {unattributed}"
                         )));
                     }
                     self.total_samples += samples;
                     self.unattributed += unattributed;
-                    saw_total = true;
                 }
-                "counter" => {
-                    let name = required_str(&pairs, "name").map_err(&at)?;
+                Event::Counter { name, value, .. } => {
                     if name.starts_with("fault_") {
-                        let value = required_u64(&pairs, "value").map_err(&at)?;
-                        bump(&mut self.faults, name, value);
+                        let slot = FAULT_COUNTERS
+                            .iter()
+                            .position(|known| *known == name)
+                            .ok_or_else(|| at(format!("unknown fault counter '{name}'")))?;
+                        let Scalar::U64(value) = value else {
+                            return Err(at(format!(
+                                "fault counter '{name}' value {value:?} is not a non-negative integer"
+                            )));
+                        };
+                        if file_faults[slot].replace(value).is_some() {
+                            return Err(at(format!("fault counter '{name}' repeated")));
+                        }
+                        bump(&mut self.faults, &name, value).map_err(&at)?;
                     }
                 }
-                other => return Err(at(format!("unknown event '{other}'"))),
             }
         }
         if !stack.is_empty() {
@@ -400,22 +552,56 @@ impl TraceReport {
                 open.join(" > ")
             ));
         }
-        if !saw_total {
+        let (total, unattributed) = footer
+            .ok_or_else(|| format!("{source}: missing ledger_total footer (truncated trace?)"))?;
+        // Exit samples are exclusive (children charge their own spans), so
+        // they partition the total just as the ledger rows do.
+        let span_sum = wide_sum(&file_span_samples);
+        if span_sum + u128::from(unattributed) != u128::from(total) {
             return Err(format!(
-                "{source}: missing ledger_total footer (truncated trace?)"
+                "{source}: exit-sample sum {span_sum} + unattributed {unattributed} \
+                 != ledger_total {total}"
             ));
         }
         // The ledger is derived from the same charges as the spans; any
-        // disagreement means the file was edited or corrupted.
-        for (stage, charged) in &file_span_samples {
-            let ledgered = file_ledger
-                .iter()
-                .find(|(s, _)| s == stage)
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
-            if ledgered != *charged {
+        // disagreement means the file was edited or corrupted. Stages that
+        // drew nothing (the offline `check`, `ingest`) have spans but no row.
+        file_span_samples.retain(|(_, s)| *s > 0);
+        let lookup = |rows: &[(String, u64)], stage: &str| {
+            rows.iter().find(|(s, _)| s == stage).map(|(_, v)| *v)
+        };
+        for (stage, _) in file_span_samples.iter().chain(&file_ledger) {
+            let (row, sum) = (
+                lookup(&file_ledger, stage),
+                lookup(&file_span_samples, stage),
+            );
+            if row != sum {
                 return Err(format!(
-                    "{source}: stage '{stage}' ledger row {ledgered} != span sum {charged}"
+                    "{source}: stage '{stage}' ledger row {} != non-zero exit-sample sum {}",
+                    or_none(row),
+                    or_none(sum)
+                ));
+            }
+        }
+        if file_faults.iter().any(Option::is_some) {
+            if let Some(slot) = file_faults.iter().position(Option::is_none) {
+                return Err(format!(
+                    "{source}: fault counter family incomplete: missing '{}'",
+                    FAULT_COUNTERS[slot]
+                ));
+            }
+            let [contaminated, duplicated, dropped, stalled, budget_hits, events_total, returned] =
+                file_faults.map(|v| u128::from(v.unwrap_or_default()));
+            let kinds = contaminated + duplicated + dropped + stalled + budget_hits;
+            if events_total != kinds {
+                return Err(format!(
+                    "{source}: fault_events_total {events_total} != sum of the five kinds {kinds}"
+                ));
+            }
+            if returned + dropped != u128::from(total) + duplicated {
+                return Err(format!(
+                    "{source}: fault_returned_draws {returned} != ledger total {total} \
+                     - dropped {dropped} + duplicated {duplicated}"
                 ));
             }
         }
@@ -568,11 +754,26 @@ impl TraceReport {
     }
 }
 
-fn bump(rows: &mut Vec<(String, u64)>, key: &str, by: u64) {
+fn or_none(v: Option<u64>) -> String {
+    v.map_or("(none)".to_string(), |v| v.to_string())
+}
+
+/// Adds `by` to the row for `key`, appending the row on first sight.
+fn bump(rows: &mut Vec<(String, u64)>, key: &str, by: u64) -> Result<(), String> {
     match rows.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v += by,
+        Some((_, v)) => {
+            *v = v
+                .checked_add(by)
+                .ok_or_else(|| format!("'{key}' sum overflows u64"))?
+        }
         None => rows.push((key.to_string(), by)),
     }
+    Ok(())
+}
+
+/// The sum of all rows, wide enough that trace values cannot overflow it.
+fn wide_sum(rows: &[(String, u64)]) -> u128 {
+    rows.iter().map(|(_, v)| u128::from(*v)).sum()
 }
 
 /// Reads and folds trace files into one report.
@@ -593,7 +794,7 @@ pub fn analyze_files(paths: &[String]) -> Result<TraceReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histo_trace::{JsonlSink, ManualClock, SharedBuffer, Stage, Tracer};
+    use histo_trace::{JsonlSink, ManualClock, SharedBuffer, Stage, TraceEvent, Tracer, Value};
 
     fn traced_stream(clocked: bool) -> String {
         let buf = SharedBuffer::new();
@@ -617,6 +818,227 @@ mod tests {
         String::from_utf8(buf.contents()).unwrap()
     }
 
+    /// A timing-free stream whose fault counters reconcile with its
+    /// ledger: 9 draws consumed, 2 of them dropped, 1 duplicate served,
+    /// so 8 returned.
+    fn faulty_stream() -> String {
+        let buf = SharedBuffer::new();
+        let mut tracer = Tracer::new(Box::new(JsonlSink::new(buf.clone()))).without_timing();
+        tracer.enter(Stage::Sieve);
+        tracer.charge(9);
+        tracer.exit();
+        for (name, value) in FAULT_COUNTERS.into_iter().zip([4u64, 1, 2, 0, 0, 7, 8]) {
+            tracer.counter(name, value);
+        }
+        tracer.counter("unrelated", 7u64);
+        tracer.finish().unwrap();
+        String::from_utf8(buf.contents()).unwrap()
+    }
+
+    #[test]
+    fn every_writer_shape_decodes() {
+        const TEXT: &str = "q\"b\\s/t\tn\nr\rb\u{8}f\u{c}u\u{1}é";
+        let enter = |t_us| TraceEvent::StageEnter {
+            seq: 3,
+            stage: Stage::Sieve,
+            depth: 1,
+            t_us,
+        };
+        let entered = |t_us| Event::Enter {
+            seq: 3,
+            stage: "sieve".into(),
+            depth: 1,
+            t_us,
+        };
+        let exit = |elapsed_us, t_us| TraceEvent::StageExit {
+            seq: 4,
+            stage: Stage::Other("warm up"),
+            depth: 0,
+            samples: 42,
+            elapsed_us,
+            t_us,
+        };
+        let exited = |elapsed_us, t_us| Event::Exit {
+            seq: 4,
+            stage: "warm up".into(),
+            depth: 0,
+            samples: 42,
+            elapsed_us,
+            t_us,
+        };
+        let counter = |stage, value| TraceEvent::Counter {
+            seq: 5,
+            stage,
+            name: "x",
+            value,
+        };
+        let counted = |value| Event::Counter {
+            seq: 5,
+            name: "x".into(),
+            value,
+        };
+        let cases = [
+            (enter(None), entered(None)),
+            (enter(Some(120)), entered(Some(120))),
+            (exit(None, None), exited(None, None)),
+            (exit(Some(17), Some(137)), exited(Some(17), Some(137))),
+            (
+                counter(Some(Stage::Learner), Value::U64(7)),
+                counted(Scalar::U64(7)),
+            ),
+            (counter(None, Value::U64(7)), counted(Scalar::U64(7))),
+            (counter(None, Value::I64(-3)), counted(Scalar::I64(-3))),
+            (counter(None, Value::F64(0.5)), counted(Scalar::F64(0.5))),
+            (counter(None, Value::F64(f64::NAN)), counted(Scalar::Null)),
+            (
+                counter(None, Value::Bool(true)),
+                counted(Scalar::Bool(true)),
+            ),
+            (
+                counter(None, Value::Str(TEXT)),
+                counted(Scalar::Str(TEXT.into())),
+            ),
+            (
+                TraceEvent::LedgerEntry {
+                    stage: Stage::Learner,
+                    samples: 13,
+                },
+                Event::Ledger {
+                    stage: "learner".into(),
+                    samples: 13,
+                },
+            ),
+            (
+                TraceEvent::LedgerTotal {
+                    samples: 60,
+                    unattributed: 2,
+                },
+                Event::LedgerTotal {
+                    samples: 60,
+                    unattributed: 2,
+                },
+            ),
+        ];
+        for (written, expected) in cases {
+            let line = written.to_json_line();
+            assert_eq!(decode(&line), Ok(expected), "{line}");
+        }
+    }
+
+    #[test]
+    fn each_rule_fails_a_doctored_stream() {
+        let timed = traced_stream(true);
+        let faulty = faulty_stream();
+        let footer = "{\"ev\":\"ledger_total\",\"samples\":60,\"unattributed\":0}\n";
+        let twice = footer.repeat(2);
+        let phantom =
+            format!("{{\"ev\":\"ledger\",\"stage\":\"phantom\",\"samples\":0}}\n{footer}");
+        let huge = format!(
+            "{{\"ev\":\"ledger\",\"stage\":\"sieve\",\"samples\":{}}}\n{footer}",
+            u64::MAX
+        );
+        // (stream, text to replace, replacement, what the error must name)
+        let cases = [
+            (
+                &timed,
+                r#""samples":5,"#,
+                r#""samples":5,"alloc_count":3,"#,
+                "unknown key 'alloc_count'",
+            ),
+            (
+                &timed,
+                r#""adk_test","depth":1,"samples""#,
+                r#""adk_test","samples""#,
+                "missing key 'depth'",
+            ),
+            (
+                &timed,
+                r#""exit","seq":3"#,
+                r#""exit","seq":2"#,
+                "seq 2 after 2 is not increasing",
+            ),
+            (
+                &timed,
+                r#""adk_test","depth":1,"samples""#,
+                r#""adk_test","depth":0,"samples""#,
+                "exit depth 0 but 1 spans",
+            ),
+            (
+                &timed,
+                r#""learner","depth":0,"t_us":40"#,
+                r#""learner","depth":0"#,
+                "all-or-nothing",
+            ),
+            (
+                &timed,
+                r#""elapsed_us":10,"t_us":50"#,
+                r#""elapsed_us":11,"t_us":50"#,
+                "elapsed_us 11 != t_us delta 10",
+            ),
+            (&timed, footer, &twice, "second ledger_total"),
+            (
+                &timed,
+                r#""learner","samples":13"#,
+                r#""learner","samples":14"#,
+                "ledger_total 60 != row sum 61",
+            ),
+            (
+                &timed,
+                r#""samples":42,"elapsed_us""#,
+                r#""samples":43,"elapsed_us""#,
+                "exit-sample sum 61 + unattributed 0 != ledger_total 60",
+            ),
+            (
+                &timed,
+                footer,
+                &phantom,
+                "stage 'phantom' ledger row 0 != non-zero exit-sample sum (none)",
+            ),
+            (&timed, footer, &huge, "'sieve' sum overflows u64"),
+            (
+                &faulty,
+                "{\"ev\":\"counter\",\"seq\":4,\"name\":\"fault_events_dropped\",\"value\":2}\n",
+                "",
+                "family incomplete: missing 'fault_events_dropped'",
+            ),
+            (
+                &faulty,
+                r#""fault_events_total","value":7"#,
+                r#""fault_events_total","value":8"#,
+                "fault_events_total 8 != sum of the five kinds 7",
+            ),
+            (
+                &faulty,
+                r#""fault_returned_draws","value":8"#,
+                r#""fault_returned_draws","value":9"#,
+                "fault_returned_draws 9 != ledger total 9 - dropped 2 + duplicated 1",
+            ),
+            (
+                &faulty,
+                r#""fault_events_stalled""#,
+                r#""fault_events_slow""#,
+                "unknown fault counter 'fault_events_slow'",
+            ),
+            (
+                &faulty,
+                r#""unrelated","value":7"#,
+                r#""fault_events_stalled","value":0"#,
+                "fault counter 'fault_events_stalled' repeated",
+            ),
+        ];
+        for (stream, from, to, rule) in cases {
+            assert!(stream.contains(from), "{from} not in {stream}");
+            let doctored = stream.replacen(from, to, 1);
+            let err = TraceReport::new()
+                .add_stream("doctored", &doctored)
+                .unwrap_err();
+            assert!(err.contains(rule), "expected '{rule}', got '{err}'");
+        }
+        for stream in [&timed, &faulty] {
+            TraceReport::new().add_stream("clean", stream).unwrap();
+        }
+    }
+
     #[test]
     fn parser_handles_scalars_and_escapes() {
         let pairs =
@@ -634,6 +1056,7 @@ mod tests {
         assert!(parse_flat_object(r#"{"a":1} extra"#).is_err());
         assert!(parse_flat_object(r#"{"a":{"nested":1}}"#).is_err());
         assert!(parse_flat_object(r#"not json"#).is_err());
+        assert!(parse_flat_object(r#"{"a":1,"a":2}"#).is_err());
     }
 
     #[test]
@@ -742,29 +1165,21 @@ mod tests {
 
     #[test]
     fn fault_counters_sum_across_files() {
-        let buf = SharedBuffer::new();
-        let mut tracer = Tracer::new(Box::new(JsonlSink::new(buf.clone()))).without_timing();
-        tracer.enter(Stage::Sieve);
-        tracer.charge(9);
-        tracer.exit();
-        tracer.counter("fault_events_dropped", 2u64);
-        tracer.counter("fault_events_total", 3u64);
-        tracer.counter("unrelated", 7u64);
-        tracer.finish().unwrap();
-        let text = String::from_utf8(buf.contents()).unwrap();
+        let text = faulty_stream();
         let mut report = TraceReport::new();
         report.add_stream("a", &text).unwrap();
         report.add_stream("b", &text).unwrap();
-        assert_eq!(
-            report.faults,
-            vec![
-                ("fault_events_dropped".to_string(), 4),
-                ("fault_events_total".to_string(), 6)
-            ]
-        );
+        let doubled: Vec<(String, u64)> = FAULT_COUNTERS
+            .into_iter()
+            .zip([8, 2, 4, 0, 0, 14, 16])
+            .map(|(name, value)| (name.to_string(), value))
+            .collect();
+        assert_eq!(report.faults, doubled);
         let json = report.to_json(None);
         assert!(
-            json.ends_with(r#""faults":{"fault_events_dropped":4,"fault_events_total":6}}"#),
+            json.ends_with(
+                r#""faults":{"fault_events_contaminated":8,"fault_events_duplicated":2,"fault_events_dropped":4,"fault_events_stalled":0,"fault_events_budget_hits":0,"fault_events_total":14,"fault_returned_draws":16}}"#
+            ),
             "{json}"
         );
         let text = report.render_text(None);

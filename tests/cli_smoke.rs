@@ -343,8 +343,8 @@ fn traced_run_reports_wall_time() {
 fn report_faults_match_the_trace_counters() {
     // The chaos fixture's shape: a budget-capped faulty run exits 5 and
     // leaves a trace whose `fault_*` counters `report --json` must sum
-    // verbatim, reconciling with the ledger as `scripts/check_trace.py`
-    // audits: returned = total - dropped + duplicated.
+    // verbatim, reconciling with the ledger as `report` audits:
+    // returned = total - dropped + duplicated.
     let samples: Vec<String> = (0..5000u64).map(|i| (i * 7919 % 60).to_string()).collect();
     let data = write_tmp("chaos", &samples.join(" "));
     let trace = std::env::temp_dir().join(format!(
@@ -446,6 +446,50 @@ fn report_subcommand_summarizes_a_trace() {
     let garbage = write_tmp("report_garbage", "not json\n");
     let out = fewbins(&["report", garbage.to_str().unwrap()]);
     assert_eq!(code(&out), 3, "{}", stderr(&out));
+}
+
+#[test]
+fn report_rejects_a_key_outside_the_schema() {
+    // A real trace whose first `exit` carries a key the writer does not
+    // emit is malformed: `report` must fail it in both forms, not skip it.
+    let data = dataset("schema");
+    let trace = std::env::temp_dir().join(format!(
+        "fewbins_smoke_{}_schema_trace.jsonl",
+        std::process::id()
+    ));
+    let trace = trace.to_str().unwrap();
+    let out = fewbins(&[
+        "test",
+        "--n",
+        "30",
+        "--k",
+        "2",
+        "--trace",
+        trace,
+        data.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    assert_eq!(code(&fewbins(&["report", trace])), 0);
+
+    let text = std::fs::read_to_string(trace).unwrap();
+    let exit = text.find("{\"ev\":\"exit\"").expect("an exit event");
+    let end = exit + text[exit..].find('}').unwrap();
+    let doctored = format!("{},\"alloc_count\":3{}", &text[..end], &text[end..]);
+    let doctored = write_tmp("schema_doctored", &doctored);
+    for json in [false, true] {
+        let mut args = vec!["report", doctored.to_str().unwrap()];
+        if json {
+            args.insert(1, "--json");
+        }
+        let out = fewbins(&args);
+        assert_eq!(code(&out), 3, "{}", stdout(&out));
+        assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+        assert!(
+            stderr(&out).contains("exit event has unknown key 'alloc_count'"),
+            "{}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]
